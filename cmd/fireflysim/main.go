@@ -292,20 +292,18 @@ func main() {
 	}
 
 	if *experiment != "" {
-		experiments.SetWorkers(*workers)
-		experiments.SetClusterSegments(*segments)
+		ecfg := experiments.Config{Workers: *workers, Segments: *segments}
 		// Only a flag the user actually set restricts a sweep axis; the
 		// -arb default would otherwise silently collapse policysweep.
-		flagSet := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
-		var arbAxis, schedAxis []string
-		if flagSet["arb"] {
-			arbAxis = strings.Split(*arb, ",")
-		}
-		if flagSet["sched"] {
-			schedAxis = strings.Split(*sched, ",")
-		}
-		if err := experiments.SetPolicyAxes(arbAxis, schedAxis); err != nil {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "arb":
+				ecfg.Arbs = strings.Split(*arb, ",")
+			case "sched":
+				ecfg.Scheds = strings.Split(*sched, ",")
+			}
+		})
+		if err := ecfg.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "fireflysim: %v\n", err)
 			os.Exit(2)
 		}
@@ -314,7 +312,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fireflysim: unknown experiment %q (see cmd/tables -list)\n", *experiment)
 			os.Exit(2)
 		}
-		fmt.Println(r.Run(experiments.Quick))
+		fmt.Println(r.Run(ecfg))
 		return
 	}
 
@@ -443,7 +441,10 @@ func main() {
 		ex.Step(cyc(*seconds))
 
 	case "make":
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, AvoidMigration: true, Dispatch: dispatch, Seed: *seed})
+		if dispatch == nil {
+			dispatch = topaz.MigrationAverse{}
+		}
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
 		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), cyc(*seconds)*100)
 		fmt.Printf("parallel make: finished=%v in %.2f Mcycles (ok=%v)\n",
 			len(res.Finished), float64(res.Cycles)/1e6, res.OK)

@@ -37,9 +37,14 @@ func main() {
 	segments := flag.Int("segments", 1, "Ethernet segments for the cluster experiment (2 puts client and server on bridged wires)")
 	flag.Parse()
 
-	experiments.SetWorkers(*workers)
-	experiments.SetClusterSegments(*segments)
-	if err := experiments.SetPolicyAxes(splitAxis(*arb), splitAxis(*sched)); err != nil {
+	cfg := experiments.Config{
+		Full:     *full,
+		Workers:  *workers,
+		Segments: *segments,
+		Arbs:     splitAxis(*arb),
+		Scheds:   splitAxis(*sched),
+	}
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
 	}
@@ -51,14 +56,9 @@ func main() {
 		return
 	}
 
-	budget := experiments.Quick
-	if *full {
-		budget = experiments.Full
-	}
-
 	run := func(r experiments.Runner) {
 		start := time.Now()
-		out := r.Run(budget)
+		out := r.Run(cfg)
 		fmt.Println(out)
 		fmt.Printf("(%s in %.1fs)\n\n", r.ID, time.Since(start).Seconds())
 	}

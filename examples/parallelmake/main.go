@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"firefly"
+	"firefly/internal/topaz"
 	"firefly/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func main() {
 	var base float64
 	for _, n := range []int{1, 2, 4, 6} {
 		m := firefly.NewMicroVAX(n)
-		k := firefly.Boot(m, firefly.KernelConfig{Quantum: 2000, AvoidMigration: true})
+		k := firefly.Boot(m, firefly.KernelConfig{Quantum: 2000, Dispatch: topaz.MigrationAverse{}})
 		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), 3_000_000_000)
 		if !res.OK {
 			fmt.Printf("%d CPUs: did not finish\n", n)

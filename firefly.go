@@ -39,7 +39,7 @@
 // or with the operating system layer:
 //
 //	m := firefly.NewMicroVAX(4)
-//	k := firefly.Boot(m, firefly.KernelConfig{AvoidMigration: true})
+//	k := firefly.Boot(m, firefly.KernelConfig{Dispatch: topaz.MigrationAverse{}})
 //	k.Fork(topaz.Seq(topaz.Compute{Instructions: 100_000}), topaz.ThreadSpec{}, nil)
 //	k.RunUntilDone(100_000_000)
 package firefly

@@ -99,7 +99,7 @@ func FuzzBusOps(f *testing.F) {
 		}
 
 		clock := &sim.Clock{}
-		bus := mbus.New(clock, mbus.FixedPriority)
+		bus := mbus.New(clock, mbus.NewFixedPriority())
 		mem := memory.NewMicroVAXSystem(4)
 		bus.AttachMemory(mem)
 		const nCaches = 3

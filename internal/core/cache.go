@@ -70,8 +70,6 @@ type Stats struct {
 	SnoopTakes    uint64 // update data absorbed from the bus
 	SnoopInvals   uint64 // lines invalidated by snooped ops
 
-	StallCycles uint64 // cycles a CPU access waited on this cache
-
 	// Fault recovery accounting (all zero on a fault-free machine).
 	BusFaults     uint64 // faulted bus operations delivered to this cache
 	Retries       uint64 // faulted operations retried after backoff
@@ -235,11 +233,6 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 // NewMicroVAXCache returns the 16 KB original Firefly cache.
 func NewMicroVAXCache(clock *sim.Clock, proto Protocol) *Cache {
 	return NewCache(clock, proto, MicroVAXLines)
-}
-
-// NewCVAXCache returns the 64 KB second-version cache.
-func NewCVAXCache(clock *sim.Clock, proto Protocol) *Cache {
-	return NewCache(clock, proto, CVAXLines)
 }
 
 // SetTracer installs (or, with nil, removes) the observability tracer.
@@ -975,10 +968,6 @@ func boolArg(b bool) uint64 {
 	}
 	return 0
 }
-
-// AddStall lets the CPU charge stall cycles it spent waiting on this
-// cache (bus waits, tag-store interference).
-func (c *Cache) AddStall(n uint64) { c.stats.StallCycles += n }
 
 var (
 	_ mbus.Initiator = (*Cache)(nil)

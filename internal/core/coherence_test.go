@@ -140,7 +140,7 @@ func TestConcurrentCoherence(t *testing.T) {
 // documents that behaviour.
 func TestOverlappedAccessProgress(t *testing.T) {
 	const nCaches = 3
-	r := newRigArb(t, nCaches, Firefly{}, 16, mbus.RoundRobin)
+	r := newRigArb(t, nCaches, Firefly{}, 16, mbus.NewRoundRobin())
 	const hot = mbus.Addr(0x40)
 	done := make([]int, nCaches)
 	for ci := 0; ci < nCaches; ci++ {

@@ -12,7 +12,7 @@ import (
 func newRigGeometry(t testing.TB, n int, proto Protocol, lines, lineWords int) *rig {
 	t.Helper()
 	r := &rig{clock: &sim.Clock{}}
-	r.bus = mbus.New(r.clock, mbus.FixedPriority)
+	r.bus = mbus.New(r.clock, mbus.NewFixedPriority())
 	r.mem = memory.NewMicroVAXSystem(4)
 	r.bus.AttachMemory(r.mem)
 	for i := 0; i < n; i++ {

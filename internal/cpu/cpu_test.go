@@ -22,7 +22,7 @@ type machine struct {
 
 func newMachine(n int, v Variant, mkSource func(i int, c *core.Cache) trace.Source) *machine {
 	m := &machine{clock: &sim.Clock{}}
-	m.bus = mbus.New(m.clock, mbus.FixedPriority)
+	m.bus = mbus.New(m.clock, mbus.NewFixedPriority())
 	m.mem = memory.NewMicroVAXSystem(4)
 	m.bus.AttachMemory(m.mem)
 	for i := 0; i < n; i++ {

@@ -24,8 +24,8 @@ import (
 // shape (§5.1): write-through invalidate saturates the bus first;
 // invalidation protocols degrade as true sharing grows (invalidated data
 // must be reloaded); the update protocols (Firefly, Dragon) hold up.
-func ProtocolComparison(budget Budget) Outcome {
-	cycles := budget.cycles(300_000, 3_000_000)
+func ProtocolComparison(cfg Config) Outcome {
+	cycles := cfg.cycles(300_000, 3_000_000)
 	shares := []float64{0, 0.1, 0.3}
 	const nproc = 4
 
@@ -40,7 +40,7 @@ func ProtocolComparison(budget Budget) Outcome {
 	// the full cross product as sweep points and assemble the table rows
 	// in submission order.
 	protos := coherence.All()
-	cells := Sweep(len(protos)*len(shares), func(i int) string {
+	cells := Sweep(cfg.workers(), len(protos)*len(shares), func(i int) string {
 		proto, s := protos[i/len(shares)], shares[i%len(shares)]
 		cfg := machine.MicroVAXConfig(nproc)
 		cfg.Protocol = proto
@@ -69,17 +69,17 @@ suggests ("The Xerox Dragon uses a similar scheme").
 // conditional write-through: with affinity off, migrated threads leave
 // their writeable data in two caches and every write becomes a bus
 // write-through until the old copies are displaced (§5.1).
-func MigrationAblation(budget Budget) Outcome {
-	warmup := budget.cycles(100_000, 400_000)
-	measure := budget.cycles(800_000, 8_000_000)
+func MigrationAblation(cfg Config) Outcome {
+	warmup := cfg.cycles(100_000, 400_000)
+	measure := cfg.cycles(800_000, 8_000_000)
 
 	// Threads with purely private, write-heavy working sets: the only
 	// source of write-through traffic is a migrated thread whose data is
 	// resident in two caches. Yields invite rescheduling every ~400
 	// instructions.
-	run := func(avoid bool) (migrations uint64, wtPerKInstr float64, kRefs float64) {
+	run := func(dispatch topaz.DispatchPolicy) (migrations uint64, wtPerKInstr float64, kRefs float64) {
 		m := machine.New(machine.MicroVAXConfig(4))
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, AvoidMigration: avoid, Seed: 5})
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: dispatch, Seed: 5})
 		for i := 0; i < 8; i++ {
 			rng := sim.NewRand(uint64(i)*131 + 17)
 			k.Fork(topaz.LoopProgram(1<<30, func(int) []topaz.Action {
@@ -114,8 +114,9 @@ func MigrationAblation(budget Budget) Outcome {
 		wtPerK     float64
 		kRefs      float64
 	}
-	res := SweepItems([]bool{true, false}, func(avoid bool) migResult {
-		mig, wt, rate := run(avoid)
+	policies := []topaz.DispatchPolicy{topaz.MigrationAverse{}, topaz.OldestFirst{}}
+	res := SweepItems(cfg.workers(), policies, func(dispatch topaz.DispatchPolicy) migResult {
+		mig, wt, rate := run(dispatch)
 		return migResult{mig, wt, rate}
 	})
 	migOn, wtOn, rateOn := res[0].migrations, res[0].wtPerK, res[0].kRefs
@@ -144,8 +145,8 @@ func max64(a, b uint64) uint64 {
 // CVAXSpeedup compares the second-version Firefly against the original on
 // the same workload. The paper: "the upgrade has improved execution
 // speeds by factors of 2.0 to 2.5."
-func CVAXSpeedup(budget Budget) Outcome {
-	cycles := budget.cycles(600_000, 6_000_000)
+func CVAXSpeedup(cfg Config) Outcome {
+	cycles := cfg.cycles(600_000, 6_000_000)
 
 	measure := func(cfg machine.Config, miss float64) (instrPerSec float64, loadPerCPU float64) {
 		m := machine.New(cfg)
@@ -169,7 +170,7 @@ func CVAXSpeedup(budget Budget) Outcome {
 		miss float64
 	}
 	type sysResult struct{ rate, load float64 }
-	res := SweepItems([]sysPoint{
+	res := SweepItems(cfg.workers(), []sysPoint{
 		{machine.MicroVAXConfig(4), 0.20},
 		{machine.CVAXConfig(4), 0.05},
 	}, func(p sysPoint) sysResult {
@@ -197,8 +198,8 @@ same bus load per processor").
 // RPCThroughput sweeps outstanding calls and reports sustained bandwidth,
 // reproducing §6's "4.6 megabits per second using an average of three
 // concurrent threads."
-func RPCThroughput(budget Budget) Outcome {
-	secs := budget.seconds(0.5, 4)
+func RPCThroughput(cfg Config) Outcome {
+	secs := cfg.seconds(0.5, 4)
 	threads := []int{1, 2, 3, 4, 6, 8}
 	results := rpc.Sweep(rpc.Config{}, threads, secs)
 	t := stats.NewTable("RPC data transfer: bandwidth vs concurrent threads",
@@ -223,8 +224,8 @@ server stage saturates at ~4.6 Mbit/s of payload (§6).
 // consumes, plus the slowdown inflicted on a computing processor.
 // The paper: "When fully loaded, the QBus consumes about 30% of the main
 // memory bandwidth. The average I/O load is much lower."
-func QBusLoad(budget Budget) Outcome {
-	cycles := budget.cycles(500_000, 5_000_000)
+func QBusLoad(cfg Config) Outcome {
+	cycles := cfg.cycles(500_000, 5_000_000)
 
 	run := func(flood bool) (load float64, cpuRate float64) {
 		m := machine.New(machine.MicroVAXConfig(1))
@@ -251,7 +252,7 @@ func QBusLoad(budget Budget) Outcome {
 	}
 
 	type qbusResult struct{ load, rate float64 }
-	res := SweepItems([]bool{false, true}, func(flood bool) qbusResult {
+	res := SweepItems(cfg.workers(), []bool{false, true}, func(flood bool) qbusResult {
 		load, rate := run(flood)
 		return qbusResult{load, rate}
 	})
@@ -272,15 +273,15 @@ storage system, which the cache exists to keep small.
 // MDCThroughput measures the display controller's paint rates against
 // the paper's figures: 16 megapixels/second for area operations and
 // about 20,000 10-point characters/second from the font cache.
-func MDCThroughput(budget Budget) Outcome {
-	return mdcThroughput(budget)
+func MDCThroughput(cfg Config) Outcome {
+	return mdcThroughput(cfg)
 }
 
 // ParallelMake runs the §6 parallel make over a processor sweep.
-func ParallelMake(budget Budget) Outcome {
-	maxCycles := budget.cycles(300_000_000, 3_000_000_000)
+func ParallelMake(cfg Config) Outcome {
+	maxCycles := cfg.cycles(300_000_000, 3_000_000_000)
 	leaves, cost := 8, uint64(40_000)
-	if budget == Quick {
+	if !cfg.Full {
 		leaves, cost = 6, 20_000
 	}
 	t := stats.NewTable("Parallel make: rebuild with fan-out "+fmt.Sprint(leaves),
@@ -293,9 +294,9 @@ func ParallelMake(budget Budget) Outcome {
 		mcycles float64
 		ok      bool
 	}
-	results := SweepItems(ns, func(n int) makeResult {
+	results := SweepItems(cfg.workers(), ns, func(n int) makeResult {
 		m := machine.New(machine.MicroVAXConfig(n))
-		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, AvoidMigration: true})
+		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: topaz.MigrationAverse{}})
 		res := workload.RunMake(k, workload.StandardBuild(leaves, cost), maxCycles)
 		return makeResult{float64(res.Cycles) / 1e6, res.OK}
 	})
@@ -325,7 +326,7 @@ parallel make a showcase Topaz application (§6).
 // footnote: "A larger line would probably have reduced the miss rate
 // considerably, but it would have complicated the design... we did not
 // pursue a larger line."
-func LineSizeAblation(budget Budget) Outcome {
+func LineSizeAblation(cfg Config) Outcome {
 	base := model.MicroVAX()
 	t := stats.NewTable("Line size ablation (analytic, 5-processor system)",
 		"line bytes", "miss rate", "TPI", "TP(5)")
@@ -348,12 +349,12 @@ func LineSizeAblation(budget Budget) Outcome {
 	// workload drifts one word at a time — the weak spatial locality of
 	// the pointer-heavy Modula-2+ code SRC ran — so prefetching buys
 	// little while every fill occupies the bus for W operations.
-	cycles := budget.cycles(300_000, 3_000_000)
+	cycles := cfg.cycles(300_000, 3_000_000)
 	ts := stats.NewTable("Line size ablation (simulated, 5-processor system, working-set workload)",
 		"line bytes", "miss rate", "bus load", "per-CPU K refs/s")
 	lws := []int{1, 2, 4, 8}
 	type lineResult struct{ miss, load, krefs float64 }
-	simmed := SweepItems(lws, func(lw int) lineResult {
+	simmed := SweepItems(cfg.workers(), lws, func(lw int) lineResult {
 		cfg := machine.MicroVAXConfig(5)
 		cfg.LineWords = lw
 		m := machine.New(cfg)
@@ -391,8 +392,8 @@ storage modules").
 
 // OnChipDataAblation measures what the CVAX Firefly gave up by keeping
 // data out of the on-chip cache (§5, §5.3).
-func OnChipDataAblation(budget Budget) Outcome {
-	cycles := budget.cycles(600_000, 6_000_000)
+func OnChipDataAblation(cfg Config) Outcome {
+	cycles := cfg.cycles(600_000, 6_000_000)
 
 	measure := func(dcache bool) float64 {
 		cfg := machine.CVAXConfig(4)
@@ -411,7 +412,7 @@ func OnChipDataAblation(budget Budget) Outcome {
 		return float64(instr) / rep.Seconds
 	}
 
-	res := SweepItems([]bool{false, true}, measure)
+	res := SweepItems(cfg.workers(), []bool{false, true}, measure)
 	off, on := res[0], res[1]
 	t := stats.NewTable("CVAX on-chip cache: instruction-only vs instructions+data",
 		"configuration", "K instr/s (4 CPUs)")
@@ -428,5 +429,3 @@ store only instruction references, not data."
 `, (on/off-1)*100)
 	return Outcome{ID: "onchipdata", Title: "On-chip data cache ablation", Text: text}
 }
-
-var _ = core.Firefly{} // the protocol suite's first entry, used via coherence.All

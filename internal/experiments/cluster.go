@@ -2,36 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"firefly/internal/cluster"
 	"firefly/internal/rpc"
 	"firefly/internal/stats"
 )
-
-// clusterSegments is the Ethernet segment count ClusterRPC builds its
-// clusters with (default 1: a single shared wire). With 2, the client
-// and server land on separate wires joined by the store-and-forward
-// bridge, so every frame pays two serializations. The fireflysim and
-// tables commands expose it as -segments.
-var clusterSegments atomic.Int32
-
-// ClusterSegments returns the configured segment count.
-func ClusterSegments() int {
-	if n := int(clusterSegments.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// SetClusterSegments sets the segment count for the cluster experiment
-// and returns the previous setting. n < 2 restores the single wire.
-func SetClusterSegments(n int) (prev int) {
-	if n < 2 {
-		n = 0
-	}
-	return int(clusterSegments.Swap(int32(n)))
-}
 
 // ClusterRPC reproduces §6 end to end: two Fireflies on the simulated
 // 10 Mbit/s Ethernet, RPC calls marshalled into machine memory, DMA'd
@@ -41,14 +16,13 @@ func SetClusterSegments(n int) (prev int) {
 // next to the analytic pipeline of the `rpc` experiment — the paper's
 // "4.6 megabits per second using an average of three concurrent
 // threads" should appear as a plateau from three threads on, in both
-// columns.
-func ClusterRPC(budget Budget) Outcome {
-	secs := budget.seconds(0.4, 2)
+// columns. Config.Segments = 2 puts client and server on separate wires
+// joined by the store-and-forward bridge, so every frame pays two
+// serializations.
+func ClusterRPC(cfg Config) Outcome {
+	secs := cfg.seconds(0.4, 2)
 	threads := []int{1, 2, 3, 4, 6}
-	segments := ClusterSegments()
-	if segments > 2 {
-		segments = 2 // two machines cannot spread further
-	}
+	segments := min(max(cfg.Segments, 1), 2) // two machines cannot spread further
 
 	type row struct {
 		threads            int
@@ -57,7 +31,7 @@ func ClusterRPC(budget Budget) Outcome {
 		wireUtil           float64
 		calls, retransmits uint64
 	}
-	rows := SweepItems(threads, func(n int) row {
+	rows := SweepItems(cfg.workers(), threads, func(n int) row {
 		cl := cluster.New(cluster.Config{Seed: 6, Segments: segments})
 		cl.Node(1).StartServer()
 		cl.Node(0).StartCallers(n, 1, 0)

@@ -8,7 +8,11 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+
+	"firefly/internal/mbus"
+	"firefly/internal/topaz"
 )
 
 // Outcome is one experiment's rendered result.
@@ -28,37 +32,69 @@ func (o Outcome) String() string {
 	return b.String()
 }
 
-// Budget scales experiment run lengths: Quick for tests and smoke runs,
-// Full for report-quality numbers.
-type Budget int
+// Config carries every experiment setting. Its zero value is the Quick
+// budget on one sweep worker per CPU, a single Ethernet wire for the
+// cluster experiment, and every known policy on both policysweep axes.
+type Config struct {
+	// Full selects the report-quality run lengths used for
+	// EXPERIMENTS.md; false runs the short Quick intervals (seconds of
+	// CPU time) for tests and smoke runs.
+	Full bool
+	// Workers is the sweep worker-pool size (< 1: GOMAXPROCS). Output is
+	// byte-identical for any value.
+	Workers int
+	// Segments is the Ethernet segment count the cluster experiment
+	// builds (< 2: one shared wire). With 2, client and server land on
+	// separate wires joined by the store-and-forward bridge.
+	Segments int
+	// Arbs and Scheds restrict policysweep's arbitration and dispatch
+	// axes by name; empty keeps the full axis.
+	Arbs, Scheds []string
+}
 
-const (
-	// Quick runs short measurement intervals (seconds of CPU time).
-	Quick Budget = iota
-	// Full runs the intervals used for EXPERIMENTS.md.
-	Full
-)
+// Validate rejects unknown policy names on either policysweep axis.
+func (c Config) Validate() error {
+	for _, a := range c.Arbs {
+		if _, ok := mbus.NewArbiterByName(a); !ok {
+			return fmt.Errorf("unknown arbiter %q (known: %v)", a, mbus.ArbiterNames())
+		}
+	}
+	for _, s := range c.Scheds {
+		if _, ok := topaz.PolicyByName(s); !ok {
+			return fmt.Errorf("unknown dispatch policy %q (known: %v)", s, topaz.PolicyNames())
+		}
+	}
+	return nil
+}
+
+// workers is the sweep worker-pool size.
+func (c Config) workers() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // cycles picks a cycle budget.
-func (b Budget) cycles(quick, full uint64) uint64 {
-	if b == Quick {
-		return quick
+func (c Config) cycles(quick, full uint64) uint64 {
+	if c.Full {
+		return full
 	}
-	return full
+	return quick
 }
 
 // seconds picks a simulated-seconds budget.
-func (b Budget) seconds(quick, full float64) float64 {
-	if b == Quick {
-		return quick
+func (c Config) seconds(quick, full float64) float64 {
+	if c.Full {
+		return full
 	}
-	return full
+	return quick
 }
 
 // Runner is a named experiment driver.
 type Runner struct {
 	ID   string
-	Run  func(Budget) Outcome
+	Run  func(Config) Outcome
 	Note string
 }
 

@@ -9,7 +9,7 @@ func TestAllRunnersQuick(t *testing.T) {
 	for _, r := range All() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			out := r.Run(Quick)
+			out := r.Run(Config{})
 			if out.ID != r.ID {
 				t.Fatalf("outcome ID %q != runner ID %q", out.ID, r.ID)
 			}
@@ -36,7 +36,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestTable1ContainsPaperCells(t *testing.T) {
-	out := Table1(Quick)
+	out := Table1(Config{})
 	for _, cell := range []string{"0.33", "13.9", "8.07", "Saturation"} {
 		if !strings.Contains(out.Text, cell) {
 			t.Fatalf("Table 1 report missing %q:\n%s", cell, out.Text)
@@ -45,21 +45,21 @@ func TestTable1ContainsPaperCells(t *testing.T) {
 }
 
 func TestTable2ShapeChecksPass(t *testing.T) {
-	out := Table2(Quick)
+	out := Table2(Config{})
 	if !strings.Contains(out.Text, "[ok  ]") || strings.Contains(out.Text, "[FAIL]") {
 		t.Fatalf("Table 2 shape checks did not all pass:\n%s", out.Text)
 	}
 }
 
 func TestFigure3AllArcsVerified(t *testing.T) {
-	out := Figure3(Quick)
+	out := Figure3(Config{})
 	if !strings.Contains(out.Text, "Every Figure 3 arc verified.") {
 		t.Fatalf("figure 3 arcs failed:\n%s", out.Text)
 	}
 }
 
 func TestFigure4ShowsFourPhases(t *testing.T) {
-	out := Figure4(Quick)
+	out := Figure4(Config{})
 	for _, want := range []string{"arbitrate+address", "tag probe", "MShared asserted", "data"} {
 		if !strings.Contains(out.Text, want) {
 			t.Fatalf("figure 4 trace missing %q:\n%s", want, out.Text)

@@ -12,7 +12,7 @@ import (
 
 // Figure3 renders the Firefly cache line state diagram as a transition
 // table and verifies every arc dynamically through a two-cache machine.
-func Figure3(Budget) Outcome {
+func Figure3(Config) Outcome {
 	var b strings.Builder
 	b.WriteString("Cache line states (P = processor event, M = bus event):\n\n")
 	for _, rec := range core.FireflyTransitionTable() {
@@ -82,7 +82,7 @@ func (r *figure3Rig) write(i int, addr mbus.Addr, data uint32) {
 // another cache and an MWrite (conditional write-through), rendering the
 // four-phase timing of the paper's Figure 4 from the observability
 // event stream.
-func Figure4(Budget) Outcome {
+func Figure4(Config) Outcome {
 	m := machine.New(machine.MicroVAXConfig(2))
 	for _, p := range m.Processors() {
 		p.Halt()

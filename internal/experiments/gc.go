@@ -15,9 +15,9 @@ import (
 // collector itself runs as a separate thread on another processor." A
 // single-threaded mutator runs with the concurrent trace-and-sweep
 // collector on one processor (interleaved) and on two (overlapped).
-func GCOffload(budget Budget) Outcome {
-	ops := int(budget.cycles(400, 2000))
-	maxCycles := budget.cycles(400_000_000, 4_000_000_000)
+func GCOffload(cfg Config) Outcome {
+	ops := int(cfg.cycles(400, 2000))
+	maxCycles := cfg.cycles(400_000_000, 4_000_000_000)
 
 	run := func(nproc int) (elapsed uint64, st mod2.Stats, ok bool) {
 		m := machine.New(machine.MicroVAXConfig(nproc))

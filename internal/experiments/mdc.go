@@ -10,10 +10,10 @@ import (
 
 // mdcThroughput runs the display controller through an area-paint
 // workload and a text workload and measures the achieved rates.
-func mdcThroughput(budget Budget) Outcome {
+func mdcThroughput(cfg Config) Outcome {
 	fills := 4
 	lines := 20
-	if budget == Full {
+	if cfg.Full {
 		fills, lines = 12, 80
 	}
 

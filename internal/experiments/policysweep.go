@@ -22,34 +22,6 @@ import (
 // the high-numbered ports as load grows, while rr and fcfs spread them;
 // dispatch policy moves the service ratio, arbitration the wait tail.
 
-// policyAxes holds the axis restriction set by SetPolicyAxes; nil means
-// every known policy. The tables and fireflysim commands narrow the
-// sweep with -arb / -sched through this.
-var policyAxes struct {
-	arbs   []string
-	scheds []string
-}
-
-// SetPolicyAxes restricts the arbiter and dispatch axes PolicySweep
-// crosses; nil (or empty) keeps the full axis. Unknown names are
-// rejected. It is not safe to call concurrently with a running sweep —
-// set the axes before dispatching experiments, as the commands do.
-func SetPolicyAxes(arbs, scheds []string) error {
-	for _, a := range arbs {
-		if _, ok := mbus.NewArbiterByName(a); !ok {
-			return fmt.Errorf("unknown arbiter %q (known: %v)", a, mbus.ArbiterNames())
-		}
-	}
-	for _, s := range scheds {
-		if _, ok := topaz.PolicyByName(s); !ok {
-			return fmt.Errorf("unknown dispatch policy %q (known: %v)", s, topaz.PolicyNames())
-		}
-	}
-	policyAxes.arbs = arbs
-	policyAxes.scheds = scheds
-	return nil
-}
-
 // policyPoint is one cell of the cross product.
 type policyPoint struct {
 	arb   string
@@ -62,17 +34,18 @@ type policyPoint struct {
 }
 
 // PolicySweep runs the arbiter x dispatch x protocol x load cross
-// product on the sweep engine, one machine per point.
-func PolicySweep(budget Budget) Outcome {
-	warmup := budget.cycles(60_000, 400_000)
-	measure := budget.cycles(300_000, 4_000_000)
+// product on the sweep engine, one machine per point. Config.Arbs and
+// Config.Scheds narrow the axes; names are checked by Config.Validate.
+func PolicySweep(cfg Config) Outcome {
+	warmup := cfg.cycles(60_000, 400_000)
+	measure := cfg.cycles(300_000, 4_000_000)
 	const nproc = 4
 
-	arbs := policyAxes.arbs
+	arbs := cfg.Arbs
 	if len(arbs) == 0 {
 		arbs = mbus.ArbiterNames()
 	}
-	scheds := policyAxes.scheds
+	scheds := cfg.Scheds
 	if len(scheds) == 0 {
 		scheds = topaz.PolicyNames()
 	}
@@ -97,13 +70,13 @@ func PolicySweep(budget Budget) Outcome {
 		maxWait uint64  // worst per-port arbitration wait (cycles)
 		sumWait uint64
 	}
-	res := SweepItems(points, func(pt policyPoint) result {
+	res := SweepItems(cfg.workers(), points, func(pt policyPoint) result {
 		arb, _ := mbus.NewArbiterByName(pt.arb)
 		pol, _ := topaz.PolicyByName(pt.sched)
-		cfg := machine.MicroVAXConfig(nproc)
-		cfg.Protocol = pt.proto
-		cfg.Arbiter = arb
-		m := machine.New(cfg)
+		mcfg := machine.MicroVAXConfig(nproc)
+		mcfg.Protocol = pt.proto
+		mcfg.Arbiter = arb
+		m := machine.New(mcfg)
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 600, Dispatch: pol, Seed: 5})
 		for i := 0; i < 8; i++ {
 			rng := sim.NewRand(uint64(i)*131 + 17)

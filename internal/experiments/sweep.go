@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -25,39 +24,16 @@ import (
 // Machines are not safe for concurrent use; the pool never shares a
 // machine between workers — parallelism is strictly across points.
 
-// sweepWorkers is the configured pool size; 0 selects the default
-// (runtime.GOMAXPROCS(0)). It is atomic so tests and command-line flags
-// can adjust it while benchmarks read it from other goroutines.
-var sweepWorkers atomic.Int32
-
-// Workers returns the worker-pool size sweeps will use.
-func Workers() int {
-	if n := int(sweepWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers sets the sweep worker-pool size and returns the previous
-// setting. n < 1 restores the default (GOMAXPROCS). The fireflysim and
-// tables commands expose this as -workers.
-func SetWorkers(n int) (prev int) {
-	if n < 1 {
-		n = 0
-	}
-	return int(sweepWorkers.Swap(int32(n)))
-}
-
-// Sweep runs fn(0), fn(1), ..., fn(n-1) on up to Workers() goroutines
-// and returns the results in submission (index) order. fn must be
-// self-contained per point: it builds, runs, and measures its own
-// machine and must not touch state shared with other points.
-func Sweep[R any](n int, fn func(point int) R) []R {
+// Sweep runs fn(0), fn(1), ..., fn(n-1) on up to workers goroutines
+// (< 2: serially on the calling goroutine) and returns the results in
+// submission (index) order. fn must be self-contained per point: it
+// builds, runs, and measures its own machine and must not touch state
+// shared with other points.
+func Sweep[R any](workers, n int, fn func(point int) R) []R {
 	if n <= 0 {
 		return nil
 	}
 	results := make([]R, n)
-	workers := Workers()
 	if workers > n {
 		workers = n
 	}
@@ -88,6 +64,6 @@ func Sweep[R any](n int, fn func(point int) R) []R {
 
 // SweepItems is Sweep over a slice: it runs fn on every element of items
 // concurrently and returns the results in element order.
-func SweepItems[T, R any](items []T, fn func(item T) R) []R {
-	return Sweep(len(items), func(i int) R { return fn(items[i]) })
+func SweepItems[T, R any](workers int, items []T, fn func(item T) R) []R {
+	return Sweep(workers, len(items), func(i int) R { return fn(items[i]) })
 }

@@ -101,9 +101,9 @@ func MeasureExerciser(n int, warmup, measure uint64) Table2Row {
 // Table2 reproduces the paper's Table 2: the threads exerciser on one-CPU
 // and five-CPU systems, with the model's expected rates and the paper's
 // published measurements alongside the simulator's.
-func Table2(budget Budget) Outcome {
-	warmup := budget.cycles(100_000, 500_000)
-	measure := budget.cycles(1_000_000, 10_000_000)
+func Table2(cfg Config) Outcome {
+	warmup := cfg.cycles(100_000, 500_000)
+	measure := cfg.cycles(1_000_000, 10_000_000)
 
 	one := MeasureExerciser(1, warmup, measure)
 	five := MeasureExerciser(5, warmup, measure)

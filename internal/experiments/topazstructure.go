@@ -16,7 +16,7 @@ import (
 // application address space all running in user mode — and verifies the
 // structural rules the paper states (Ultrix spaces are single-threaded;
 // Topaz spaces hold many threads).
-func Figure2(Budget) Outcome {
+func Figure2(Config) Outcome {
 	m := machine.New(machine.MicroVAXConfig(5))
 	k := topaz.NewKernel(m, topaz.Config{})
 
@@ -82,9 +82,9 @@ func Figure2(Budget) Outcome {
 // the speed difference in simple system calls is due to the context
 // switch necessary because Taos runs as a user mode address space.
 // Longer-running system services do not suffer as much from this effect."
-func SyscallEmulation(budget Budget) Outcome {
-	calls := int(budget.cycles(60, 300))
-	maxCycles := budget.cycles(400_000_000, 4_000_000_000)
+func SyscallEmulation(cfg Config) Outcome {
+	calls := int(cfg.cycles(60, 300))
+	maxCycles := cfg.cycles(400_000_000, 4_000_000_000)
 
 	run := func(service uint64, emulated bool) workload.SyscallResult {
 		m := machine.New(machine.MicroVAXConfig(1))

@@ -33,8 +33,8 @@ const (
 // collapse a FIFO fleet — the admission bound sheds the excess instead,
 // holding goodput at capacity. The differential tests pin the same
 // numbers byte-for-byte at every cluster worker count.
-func TrafficLoad(budget Budget) Outcome {
-	secs := budget.seconds(0.25, 2.0)
+func TrafficLoad(cfg Config) Outcome {
+	secs := cfg.seconds(0.25, 2.0)
 	base := traffic.DefaultSpec()
 	base.Mix = [traffic.NumClasses]int{0, 1, 0}
 	base.Queue = 8
@@ -51,7 +51,7 @@ func TrafficLoad(budget Budget) Outcome {
 		segUtil          []float64
 		bridged          uint64
 	}
-	rows := SweepItems(factors, func(f float64) row {
+	rows := SweepItems(cfg.workers(), factors, func(f float64) row {
 		spec := base
 		spec.Rate = knee * f
 		cfg := cluster.Config{

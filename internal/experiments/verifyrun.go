@@ -17,7 +17,7 @@ import (
 // in every reachable configuration. The deliberately broken protocols
 // ride along to show the method has teeth — their rows must read unsafe,
 // with a shortest counterexample depth.
-func VerifyProtocols(budget Budget) Outcome {
+func VerifyProtocols(cfg Config) Outcome {
 	t := stats.NewTable(
 		fmt.Sprintf("Exhaustive verification: exact k=%v plus symbolic ω", verify.DefaultKs),
 		"protocol", "k=4 states", "arcs", "diameter", "ω states", "verdict")

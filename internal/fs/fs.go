@@ -142,12 +142,6 @@ func (f *FS) DirtyBlocks() int {
 	return n
 }
 
-// Cached reports whether a block is resident.
-func (f *FS) Cached(lba uint32) bool {
-	_, ok := f.cache[lba]
-	return ok
-}
-
 // --- client-side operations (call under Mu, from Call actions) ---
 
 // TryRead returns the block if cached, marking recency. The client

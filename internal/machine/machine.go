@@ -43,18 +43,11 @@ type Config struct {
 	// 4 x 4 MB for the MicroVAX, 4 x 32 MB for the CVAX).
 	MemoryModules int
 	ModuleBytes   uint32
-	// Arbiter selects the bus arbitration policy (nil: derived from the
-	// deprecated Arbitration enum field, whose zero value is the
-	// hardware's fixed priority). The machine adopts the instance —
-	// Reset is called at construction — so stateful arbiters must not be
-	// shared between machines; sweep points each construct their own.
+	// Arbiter selects the bus arbitration policy (nil: the hardware's
+	// fixed priority). The machine adopts the instance — Reset is called
+	// at construction — so stateful arbiters must not be shared between
+	// machines; sweep points each construct their own.
 	Arbiter mbus.Arbiter
-	// Arbitration selects the bus policy (hardware: FixedPriority).
-	//
-	// Deprecated: set Arbiter (mbus.NewFixedPriority / NewRoundRobin /
-	// NewFCFSQueue); the enum survives one release as a selector and is
-	// ignored when Arbiter is non-nil.
-	Arbitration mbus.Arbitration
 	// Seed drives every random stream in the machine.
 	Seed uint64
 	// Tracer, when non-nil, receives observability events from the bus,
@@ -198,11 +191,7 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{cfg: cfg, clock: &sim.Clock{}}
-	arb := cfg.Arbiter
-	if arb == nil {
-		arb = cfg.Arbitration.NewArbiter()
-	}
-	m.bus = mbus.NewWithArbiter(m.clock, arb)
+	m.bus = mbus.New(m.clock, cfg.Arbiter)
 	m.mem = memory.NewSystem(cfg.MemoryModules, cfg.ModuleBytes)
 	m.bus.AttachMemory(m.mem)
 	for i := 0; i < cfg.Processors; i++ {
@@ -348,7 +337,6 @@ func (m *Machine) buildRegistry() {
 		r.Register(pre+"snoop_supplies", func() uint64 { return c.Stats().SnoopSupplies })
 		r.Register(pre+"snoop_takes", func() uint64 { return c.Stats().SnoopTakes })
 		r.Register(pre+"snoop_invals", func() uint64 { return c.Stats().SnoopInvals })
-		r.Register(pre+"stall_cycles", func() uint64 { return c.Stats().StallCycles })
 		r.Register(pre+"bus_faults", func() uint64 { return c.Stats().BusFaults })
 		r.Register(pre+"retries", func() uint64 { return c.Stats().Retries })
 		r.Register(pre+"tag_faults", func() uint64 { return c.Stats().TagFaults })

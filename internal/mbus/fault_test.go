@@ -122,7 +122,7 @@ func (m *eccTestMemory) ReadWordECC(a Addr) (uint32, bool, bool) {
 
 func TestECCFaultSurfacesOnRead(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, FixedPriority)
+	b := New(clock, NewFixedPriority())
 	mem := &eccTestMemory{flatMemory: newFlatMemory(), badReads: 1}
 	mem.words[Addr(0x300)] = 99
 	b.AttachMemory(mem)

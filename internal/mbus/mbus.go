@@ -249,27 +249,6 @@ type InterruptSink interface {
 	Interrupt(from int)
 }
 
-// Arbitration selects the bus arbitration policy.
-//
-// Deprecated: the closed enum is superseded by the Arbiter interface
-// (arbiter.go); the constants survive one release as constructors
-// (Arbitration.NewArbiter) so existing New call sites keep compiling.
-// New code passes an Arbiter to NewWithArbiter or machine.Config.Arbiter.
-type Arbitration uint8
-
-const (
-	// FixedPriority grants the requester with the lowest port number, as
-	// in the hardware ("the caches have fixed priority for access to the
-	// MBus", §5.2).
-	//
-	// Deprecated: use NewFixedPriority.
-	FixedPriority Arbitration = iota
-	// RoundRobin rotates priority; provided for fairness ablations.
-	//
-	// Deprecated: use NewRoundRobin.
-	RoundRobin
-)
-
 type port struct {
 	initiator Initiator
 	snooper   Snooper
@@ -354,18 +333,11 @@ type Bus struct {
 	tracer *obs.Tracer
 }
 
-// New returns an empty bus with the enum-selected arbitration policy.
-//
-// Deprecated: use NewWithArbiter, which accepts any Arbiter. New remains
-// for one release so pre-policy-layer call sites keep compiling.
-func New(clock *sim.Clock, arb Arbitration) *Bus {
-	return NewWithArbiter(clock, arb.NewArbiter())
-}
-
-// NewWithArbiter returns an empty bus on the given clock with the given
-// arbitration policy. The bus adopts the arbiter — Reset is called here,
-// and stateful arbiters must not be shared between buses.
-func NewWithArbiter(clock *sim.Clock, arb Arbiter) *Bus {
+// New returns an empty bus on the given clock with the given arbitration
+// policy (nil: the hardware's fixed priority). The bus adopts the
+// arbiter — Reset is called here, and stateful arbiters must not be
+// shared between buses.
+func New(clock *sim.Clock, arb Arbiter) *Bus {
 	if arb == nil {
 		arb = NewFixedPriority()
 	}
@@ -402,9 +374,6 @@ func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
 	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
 	return len(b.ports) - 1
 }
-
-// NumPorts reports the number of attached agents.
-func (b *Bus) NumPorts() int { return len(b.ports) }
 
 // Stats returns a snapshot of the accumulated bus statistics.
 func (b *Bus) Stats() Stats {

@@ -89,7 +89,7 @@ func (m *flatMemory) WriteWord(a Addr, d uint32) bool {
 
 func newTestBus() (*Bus, *sim.Clock, *flatMemory) {
 	clock := &sim.Clock{}
-	b := New(clock, FixedPriority)
+	b := New(clock, NewFixedPriority())
 	mem := newFlatMemory()
 	b.AttachMemory(mem)
 	return b, clock, mem
@@ -362,7 +362,7 @@ func TestFixedPriorityArbitration(t *testing.T) {
 
 func TestRoundRobinArbitration(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, RoundRobin)
+	b := New(clock, NewRoundRobin())
 	b.AttachMemory(newFlatMemory())
 	a0 := &testInitiator{}
 	a1 := &testInitiator{}
@@ -391,7 +391,7 @@ func TestIdleBusAccumulatesNoBusy(t *testing.T) {
 
 func TestInitiatorDoesNotSnoopItself(t *testing.T) {
 	clock := &sim.Clock{}
-	b := New(clock, FixedPriority)
+	b := New(clock, NewFixedPriority())
 	b.AttachMemory(newFlatMemory())
 	// An agent that both initiates and snoops (like a real cache).
 	init := &testInitiator{}

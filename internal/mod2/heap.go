@@ -126,9 +126,6 @@ func (h *Heap) Stats() Stats { return h.stats }
 // Live returns the number of allocated objects.
 func (h *Heap) Live() int { return len(h.objects) - len(h.free) }
 
-// Capacity returns the heap size in slots.
-func (h *Heap) Capacity() int { return len(h.objects) }
-
 // Object returns the object in a slot (alive or not).
 func (h *Heap) Object(slot int) *Object { return h.objects[slot] }
 

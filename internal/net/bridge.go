@@ -79,9 +79,6 @@ func (b *Bridge) AttachPort(seg *Segment) int {
 	return port
 }
 
-// Ports returns the number of attached segments.
-func (b *Bridge) Ports() int { return len(b.ports) }
-
 // Pending returns the number of frames held for forwarding (frames
 // already handed to a destination station's queue are that segment's).
 func (b *Bridge) Pending() int { return len(b.held) }

@@ -131,9 +131,6 @@ type Station struct {
 // ID returns the station number.
 func (s *Station) ID() int { return s.id }
 
-// SetHandler installs the frame receiver (replacing any previous one).
-func (s *Station) SetHandler(h Handler) { s.handler = h }
-
 // Pending returns the number of frames queued for transmission.
 func (s *Station) Pending() int { return len(s.queue) }
 

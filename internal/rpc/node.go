@@ -103,14 +103,6 @@ func FrameDst(words []uint32) int {
 	return int(words[0] & 0xffff)
 }
 
-// FrameSrc extracts the source station from a frame.
-func FrameSrc(words []uint32) int {
-	if len(words) == 0 {
-		return -1
-	}
-	return int(words[0] >> 16)
-}
-
 // frag is one parsed wire frame.
 type frag struct {
 	src, dst     int
@@ -245,7 +237,9 @@ func (c NodeConfig) withDefaults(seed uint64) NodeConfig {
 		// can price context switches.
 		c.Kernel.SwitchCost = 50
 	}
-	c.Kernel.AvoidMigration = true
+	if c.Kernel.Dispatch == nil {
+		c.Kernel.Dispatch = topaz.MigrationAverse{}
+	}
 	return c
 }
 
@@ -413,9 +407,6 @@ func (n *Node) Stats() NodeStats { return n.stats }
 
 // Outstanding returns the number of client calls awaiting replies.
 func (n *Node) Outstanding() int { return len(n.byID) }
-
-// QueuedCalls returns the server backlog awaiting a worker.
-func (n *Node) QueuedCalls() int { return len(n.srvQueue) }
 
 // QueuePeak returns the deepest server backlog seen so far.
 func (n *Node) QueuePeak() int { return n.queuePeak }

@@ -16,20 +16,11 @@ import (
 type Config struct {
 	// Quantum is the preemption interval in instructions (default 2000).
 	Quantum uint64
-	// Dispatch selects the ready-queue discipline (nil: derived from the
-	// deprecated AvoidMigration flag — MigrationAverse when true,
-	// OldestFirst when false). The kernel adopts the policy instance;
+	// Dispatch selects the ready-queue discipline (nil: OldestFirst, the
+	// migration-heavy FIFO; MigrationAverse is the Topaz scheduler's
+	// affinity preference). The kernel adopts the policy instance;
 	// stateful policies must not be shared between kernels.
 	Dispatch DispatchPolicy
-	// AvoidMigration enables the Topaz scheduler's affinity preference.
-	// When false, the scheduler always dispatches the oldest ready thread
-	// regardless of where it last ran — the migration-heavy policy whose
-	// cost §5.1 explains.
-	//
-	// Deprecated: set Dispatch (MigrationAverse{} / OldestFirst{}); the
-	// flag survives one release as a selector and is ignored when
-	// Dispatch is non-nil.
-	AvoidMigration bool
 	// SwitchCost is the kernel instruction overhead of a context switch
 	// (default 50).
 	SwitchCost uint64
@@ -59,11 +50,7 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	if c.Dispatch == nil {
-		if c.AvoidMigration {
-			c.Dispatch = MigrationAverse{}
-		} else {
-			c.Dispatch = OldestFirst{}
-		}
+		c.Dispatch = OldestFirst{}
 	}
 	return c
 }
@@ -196,9 +183,6 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 	return k
 }
 
-// Dispatcher returns the kernel's ready-queue policy.
-func (k *Kernel) Dispatcher() DispatchPolicy { return k.cfg.Dispatch }
-
 // CPUService returns the thread instructions processor proc has executed
 // — its accumulated service. The max/min ratio of these across
 // processors is the fairness metric the policy sweeps report.
@@ -212,9 +196,6 @@ func (k *Kernel) Stats() Stats { return k.stats }
 
 // Threads returns every thread ever created.
 func (k *Kernel) Threads() []*Thread { return k.threads }
-
-// ReadyLen returns the ready-queue length.
-func (k *Kernel) ReadyLen() int { return len(k.ready) }
 
 // NewSpace creates an address space. Ultrix spaces admit a single thread.
 func (k *Kernel) NewSpace(name string, ultrix bool) *AddressSpace {

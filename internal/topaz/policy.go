@@ -36,8 +36,7 @@ type DispatchPolicy interface {
 // MigrationAverse is the Topaz policy: prefer the oldest ready thread
 // that last ran on this processor (or has never run anywhere), falling
 // back to the oldest thread when every ready thread has affinity
-// elsewhere — "some effort" to avoid migration, not heroics. It
-// reproduces the deprecated AvoidMigration=true dispatcher bit for bit.
+// elsewhere — "some effort" to avoid migration, not heroics.
 type MigrationAverse struct{}
 
 // Name implements DispatchPolicy.
@@ -55,8 +54,7 @@ func (MigrationAverse) Pick(_ *Kernel, proc int, ready []*Thread) int {
 
 // OldestFirst always dispatches the oldest ready thread, ignoring
 // affinity — the migration-heavy FIFO whose write-through cost §5.1
-// explains. It reproduces the deprecated AvoidMigration=false dispatcher
-// bit for bit.
+// explains.
 type OldestFirst struct{}
 
 // Name implements DispatchPolicy.

@@ -16,45 +16,6 @@ func policyWorkload(k *Kernel) {
 	}
 }
 
-// TestLegacyAvoidMigrationEquivalence checks the deprecated boolean maps
-// onto the policy objects bit for bit: AvoidMigration=true is
-// MigrationAverse, false is OldestFirst — identical kernel statistics
-// and per-thread instruction counts.
-func TestLegacyAvoidMigrationEquivalence(t *testing.T) {
-	cases := []struct {
-		name   string
-		legacy Config
-		policy Config
-	}{
-		{"averse", Config{Quantum: 500, AvoidMigration: true, Seed: 3},
-			Config{Quantum: 500, Dispatch: MigrationAverse{}, Seed: 3}},
-		{"oldest", Config{Quantum: 500, Seed: 3},
-			Config{Quantum: 500, Dispatch: OldestFirst{}, Seed: 3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(cfg Config) (Stats, string) {
-				k := newKernel(4, cfg)
-				policyWorkload(k)
-				k.RunUntilDone(100_000_000)
-				var per string
-				for _, th := range k.Threads() {
-					per += fmt.Sprintf("%d/%d/%d ", th.Instructions, th.Switches, th.Migrations)
-				}
-				return k.Stats(), per
-			}
-			ls, lp := run(tc.legacy)
-			ps, pp := run(tc.policy)
-			if ls != ps {
-				t.Fatalf("kernel stats diverged\nlegacy: %+v\npolicy: %+v", ls, ps)
-			}
-			if lp != pp {
-				t.Fatalf("per-thread counters diverged\nlegacy: %s\npolicy: %s", lp, pp)
-			}
-		})
-	}
-}
-
 // TestWorkStealingPick pins the stealing decision directly: affine
 // first, then the busiest peer's oldest thread, ties to the
 // lowest-numbered peer.

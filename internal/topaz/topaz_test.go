@@ -224,8 +224,8 @@ func TestPreemptionSharesCPU(t *testing.T) {
 }
 
 func TestAffinityReducesMigration(t *testing.T) {
-	run := func(avoid bool) uint64 {
-		k := newKernel(4, Config{Quantum: 500, AvoidMigration: avoid, Seed: 3})
+	run := func(dispatch DispatchPolicy) uint64 {
+		k := newKernel(4, Config{Quantum: 500, Dispatch: dispatch, Seed: 3})
 		for i := 0; i < 8; i++ {
 			k.Fork(LoopProgram(40, func(int) []Action {
 				return []Action{Compute{400}, Yield{}}
@@ -234,8 +234,8 @@ func TestAffinityReducesMigration(t *testing.T) {
 		k.RunUntilDone(100_000_000)
 		return k.Stats().Migrations
 	}
-	with := run(true)
-	without := run(false)
+	with := run(MigrationAverse{})
+	without := run(OldestFirst{})
 	if with >= without {
 		t.Fatalf("affinity did not reduce migrations: with=%d without=%d", with, without)
 	}

@@ -113,7 +113,7 @@ type Synthetic struct {
 	seq    uint32 // write payload generator
 }
 
-// NewSynthetic returns a generator. cache may be nil until AttachCache.
+// NewSynthetic returns a generator. cache may be nil.
 func NewSynthetic(cfg SyntheticConfig, shared *SharedRegion, cache Residency) *Synthetic {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -128,9 +128,6 @@ func NewSynthetic(cfg SyntheticConfig, shared *SharedRegion, cache Residency) *S
 		rng:    sim.NewRand(cfg.Seed),
 	}
 }
-
-// AttachCache connects the generator to the cache it feeds.
-func (g *Synthetic) AttachCache(c Residency) { g.cache = c }
 
 // Next implements Source.
 func (g *Synthetic) Next(kind Kind) Ref {

@@ -318,13 +318,6 @@ func (e *Engine) sumClasses(f func(*classAccount) uint64) uint64 {
 // (non-shed) call.
 func (e *Engine) FleetHist() *stats.LogHist { return &e.fleetHist }
 
-// ClassHist is class c's latency histogram.
-func (e *Engine) ClassHist(c Class) *stats.LogHist { return &e.class[c].hist }
-
-// OutstandingPeak is the balancer's peak in-flight count toward machine
-// i.
-func (e *Engine) OutstandingPeak(i int) int { return e.outstandingPeak[i] }
-
 // InFlight is the balancer's total in-flight call count: issued calls
 // that have not yet reached a disposition.
 func (e *Engine) InFlight() int {
