@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -259,6 +260,16 @@ func main() {
 	trafficSpec := flag.String("traffic", "", `fleet traffic spec, e.g. "rate=2000,mix=file:6/make:3/mdc:1,lb=least,queue=32,seed=5": member 0 load-balances an open-loop user population over the rest (defaults to a 16-machine 4-segment fleet unless -cluster/-segments are set)`)
 	flag.Parse()
 
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{{"seconds", *seconds}, {"warmup", *warmup}} {
+		if !(d.v >= 0) || math.IsInf(d.v, 1) {
+			fmt.Fprintf(os.Stderr, "fireflysim: -%s %v: need a finite, non-negative duration\n", d.name, d.v)
+			os.Exit(2)
+		}
+	}
+
 	if *verifyProto != "" {
 		runVerify(*verifyProto, *verifyOut)
 		return
@@ -351,8 +362,23 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.LineWords = *lineWords
-	if *cacheLines > 0 {
+	if *cacheLines != 0 {
 		cfg.CacheLines = *cacheLines
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "fireflysim: %v\n", err)
+		os.Exit(2)
+	}
+	load := trace.SyntheticLoad{
+		MissRate:           *miss,
+		ShareFraction:      *share,
+		SharedReadFraction: *share / 2,
+	}
+	if *wl == "synthetic" {
+		if err := load.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "fireflysim: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	if *faults != "" {
 		fcfg, err := fault.ParseSpec(*faults)
@@ -407,11 +433,7 @@ func main() {
 	var travelSnap *machine.Snapshot
 	switch *wl {
 	case "synthetic":
-		m.AttachSyntheticLoad(trace.SyntheticLoad{
-			MissRate:           *miss,
-			ShareFraction:      *share,
-			SharedReadFraction: *share / 2,
-		})
+		m.AttachSyntheticLoad(load)
 		m.Warmup(cyc(*warmup))
 		if *travel > 0 {
 			if *checkFlag {

@@ -240,11 +240,11 @@ type RunOpts struct {
 	// Observer, when non-nil, is attached to the machine's tracer
 	// alongside the checker and sees every machine event.
 	Observer obs.Observer
-	// Quiescent, when non-nil, is called at deterministic points where
+	// OnDrained, when non-nil, is called at deterministic points where
 	// the bus is idle and every cache has committed its outstanding work
 	// (periodically during the run and once after the final drain), so
 	// callers can inspect settled cache state.
-	Quiescent func(m *machine.Machine)
+	OnDrained func(m *machine.Machine)
 }
 
 // RunSchedule executes a schedule under full checking and returns the
@@ -348,8 +348,8 @@ func run(m *machine.Machine, checker *Checker, sources []*scriptSource, cfg Stre
 		if !checker.Ok() {
 			return nil
 		}
-		if opts.Quiescent != nil && cyc%128 == 127 && drained(m) {
-			opts.Quiescent(m)
+		if opts.OnDrained != nil && cyc%128 == 127 && drained(m) {
+			opts.OnDrained(m)
 		}
 		running = false
 		for _, s := range sources {
@@ -367,15 +367,15 @@ func run(m *machine.Machine, checker *Checker, sources []*scriptSource, cfg Stre
 	for cyc := 0; cyc < 4000 && !drained(m); cyc++ {
 		m.Step()
 	}
-	if opts.Quiescent != nil && drained(m) {
-		opts.Quiescent(m)
+	if opts.OnDrained != nil && drained(m) {
+		opts.OnDrained(m)
 	}
 	checker.Walk()
 	return nil
 }
 
 func drained(m *machine.Machine) bool {
-	if !m.Bus().Quiescent() {
+	if m.Bus().NextEvent(m.Clock().Now()) != sim.Never {
 		return false
 	}
 	for _, c := range m.Caches() {

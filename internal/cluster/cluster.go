@@ -45,10 +45,7 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"firefly/internal/fault"
 	"firefly/internal/machine"
@@ -442,32 +439,7 @@ func (c *Cluster) Run(n uint64) {
 // calls into a machine anywhere in the window, so the machines' head
 // start is unobservable.
 func (c *Cluster) round(w uint64) {
-	if c.workers > 1 && len(c.members) > 1 {
-		workers := c.workers
-		if workers > len(c.members) {
-			workers = len(c.members)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := next.Add(1) - 1
-					if j >= int64(len(c.members)) {
-						return
-					}
-					c.members[j].m.Run(w)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, mb := range c.members {
-			mb.m.Run(w)
-		}
-	}
+	sim.ParallelFor(c.workers, len(c.members), func(j int) { c.members[j].m.Run(w) })
 	for k := uint64(0); k < w; k++ {
 		now := c.clock.Tick()
 		c.injectSends(now - 1)
@@ -544,10 +516,10 @@ func (c *Cluster) skip(n uint64) {
 }
 
 // RunSeconds advances the cluster by simulated wall time, rounded to
-// the nearest whole cycle like machine.RunSeconds (truncation silently
-// lost a cycle for wall-times that are not exact cycle multiples).
+// the nearest whole cycle like machine.RunSeconds. It panics on a
+// negative or non-finite duration (see sim.SecondsToCycles).
 func (c *Cluster) RunSeconds(s float64) {
-	c.Run(uint64(math.Round(s * 1e9 / sim.CycleNS)))
+	c.Run(sim.SecondsToCycles(s))
 }
 
 // RunUntil advances until pred holds or maxCycles elapse; it reports

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,29 @@ func TestClusterRunSecondsRounds(t *testing.T) {
 		if got := m.Clock().Now(); got != 2 {
 			t.Fatalf("machine %d clock at %d after RunSeconds(150ns), want 2", i, got)
 		}
+	}
+}
+
+// TestClusterRunSecondsRejectsBadDurations: a negative or non-finite
+// duration must panic naming the value, not run for ~2^63 cycles.
+func TestClusterRunSecondsRejectsBadDurations(t *testing.T) {
+	cl := New(Config{Node: quickNode(), Seed: 1})
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("RunSeconds(%v) did not panic", s)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprint(s)) {
+					t.Fatalf("RunSeconds(%v) panic %q does not name the value", s, msg)
+				}
+			}()
+			cl.RunSeconds(s)
+		}()
+	}
+	if now := cl.Clock().Now(); now != 0 {
+		t.Fatalf("rejected durations advanced the clock to %d", now)
 	}
 }
 

@@ -429,23 +429,16 @@ func (c *Cache) Busy() bool {
 // LastRead returns the data produced by the most recent completed read.
 func (c *Cache) LastRead() uint32 { return c.lastRead }
 
-// Idle reports that the cache has no access in progress, no deferred
-// work, and no bus request raised — a Step (and any snoop-free bus
-// cycle) would leave it unchanged. The machine's idle skip-ahead
-// requires every cache to be idle; unlike Busy it ignores the doneAt
-// completion latch, which only delays the owning processor and decays
-// with the clock.
-func (c *Cache) Idle() bool {
-	return c.phase == seqIdle && !c.deferred && !c.reqValid
-}
-
 // NextEvent reports the earliest future cycle at which stepping the
-// cache (or granting its bus request) may change observable state. An
-// idle cache reports sim.Never; a cache backing off after a faulted bus
-// operation reports the backoff expiry (its raised request is invisible
-// to the bus until then); anything else in flight reports the next
-// cycle. Pure function of cache state; never over-reports (see the
-// DESIGN.md big-step contract).
+// cache (or granting its bus request) may change observable state. A
+// cache with no access in progress, no deferred work, and no bus request
+// raised reports sim.Never (unlike Busy this ignores the doneAt
+// completion latch, which only delays the owning processor and decays
+// with the clock); a cache backing off after a faulted bus operation
+// reports the backoff expiry (its raised request is invisible to the bus
+// until then); anything else in flight reports the next cycle. Pure
+// function of cache state; never over-reports (see the DESIGN.md
+// big-step contract).
 func (c *Cache) NextEvent(now sim.Cycle) sim.Cycle {
 	if c.phase == seqIdle && !c.deferred && !c.reqValid {
 		return sim.Never

@@ -231,6 +231,16 @@ func (m *MDC) setKey(code int, down bool) {
 	}
 }
 
+// NextEvent implements machine.Device. The microengine polls its work
+// queue and deposits input on its own schedule, and it does not model
+// when the next of those falls due, so it always reports the next cycle:
+// a machine with a display controller never skips.
+func (m *MDC) NextEvent(now sim.Cycle) sim.Cycle { return now + 1 }
+
+// SkipCycles implements machine.Device. It is never called, because
+// NextEvent never leaves a cycle to skip.
+func (m *MDC) SkipCycles(uint64) {}
+
 // Step advances the microengine one cycle.
 func (m *MDC) Step() {
 	if m.inFlight || m.reqValid {

@@ -1,15 +1,13 @@
 package experiments
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "firefly/internal/sim"
 
 // The sweep engine runs the independent points of a parameter sweep —
-// one simulated machine per point — on a bounded worker pool. Every
-// sweep-shaped experiment in this package (Table1Sim, the protocol
-// bake-off, the line-size and scheduler ablations, the parallel make
-// scaling study) submits its points through Sweep.
+// one simulated machine per point — on a bounded worker pool
+// (sim.ParallelFor). Every sweep-shaped experiment in this package
+// (Table1Sim, the protocol bake-off, the line-size and scheduler
+// ablations, the parallel make scaling study) submits its points
+// through Sweep.
 //
 // Determinism contract (also documented in DESIGN.md):
 //
@@ -34,31 +32,7 @@ func Sweep[R any](workers, n int, fn func(point int) R) []R {
 		return nil
 	}
 	results := make([]R, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			results[i] = fn(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				results[i] = fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
+	sim.ParallelFor(workers, n, func(i int) { results[i] = fn(i) })
 	return results
 }
 

@@ -8,6 +8,7 @@ import (
 	"firefly/internal/fault"
 	"firefly/internal/mbus"
 	"firefly/internal/qbus"
+	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
 
@@ -125,7 +126,7 @@ func TestSnapshotDeviceRoundTrip(t *testing.T) {
 	orig, origEng, origDisk := snapDeviceRig()
 	origDisk.Read(3, 0x1000, nil) // prefix transfer: non-trivial pacing and counters
 	orig.Run(30_000)
-	if origDisk.Busy() || !origEng.Idle() {
+	if origDisk.Busy() || origEng.NextEvent(orig.Clock().Now()) != sim.Never {
 		t.Fatal("prefix transfer did not drain before the snapshot point")
 	}
 	snap, err := orig.Snapshot()
@@ -179,8 +180,8 @@ func TestRestoreShapeMismatch(t *testing.T) {
 }
 
 // TestStepZeroAllocsEventScan extends the hot-loop allocation contract
-// to the big-step path: the event scan, the bulk skip, and the
-// CycleSkipper accounting must all run without allocating, both while a
+// to the big-step path: the event scan, the bulk skip, and the devices'
+// SkipCycles accounting must all run without allocating, both while a
 // device owns time (a disk mid-seek) and when the machine is fully
 // quiescent.
 func TestStepZeroAllocsEventScan(t *testing.T) {

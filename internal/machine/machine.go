@@ -7,7 +7,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"firefly/internal/core"
@@ -113,7 +112,8 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Zero cache geometry fields mean
+// the defaults and are accepted.
 func (c Config) Validate() error {
 	if c.Processors < 1 {
 		return fmt.Errorf("machine: need at least one processor, got %d", c.Processors)
@@ -121,46 +121,35 @@ func (c Config) Validate() error {
 	if c.Processors > 64 {
 		return fmt.Errorf("machine: %d processors is beyond any plausible MBus", c.Processors)
 	}
+	if !powerOfTwoOrZero(c.CacheLines) {
+		return fmt.Errorf("machine: cache lines must be a power of two, got %d", c.CacheLines)
+	}
+	if !powerOfTwoOrZero(c.LineWords) {
+		return fmt.Errorf("machine: line words must be a power of two, got %d", c.LineWords)
+	}
 	return c.Variant.Validate()
 }
 
-// Stepper is a device stepped once per bus cycle (DMA engines, the display
-// controller's microengine).
-type Stepper interface {
+func powerOfTwoOrZero(n int) bool { return n >= 0 && n&(n-1) == 0 }
+
+// Device is an attached engine that owns time alongside the processors
+// and caches (QBus DMA, disk and Ethernet controllers, the display
+// controller, RPC timers, the traffic engine). It follows the same
+// contract as every other time owner (DESIGN.md, "The NextEvent
+// contract"):
+//
+//   - Step advances the device one bus cycle.
+//   - NextEvent names the earliest future cycle at which stepping it may
+//     change observable state, or sim.Never when nothing happens until
+//     new work arrives from outside the cycle loop. It is a pure function
+//     of device state and may under-report the distance, never
+//     over-report it; a device with no better answer returns now+1.
+//   - SkipCycles(n) applies the per-cycle accounting n elided Steps
+//     would have done (the DMA engine's grant-wait stalls); devices
+//     without such accounting make it a no-op.
+type Device interface {
 	Step()
-}
-
-// IdleStepper is an optional Stepper extension for devices that can
-// report quiescence. Idle must return true only when future Steps are
-// guaranteed to do nothing until new work is submitted from outside the
-// cycle loop; Run uses it to advance idle stretches in bulk. Devices
-// that do not implement it are conservatively assumed always active.
-type IdleStepper interface {
-	Stepper
-	Idle() bool
-}
-
-// EventStepper is an optional Stepper extension for devices that can
-// name the earliest future cycle at which stepping them may change
-// observable state (a seek completing, a stall expiring, the next DMA
-// word issuing). The contract matches the component NextEvent methods
-// (see DESIGN.md, "Big-step stepping & snapshots"): a pure function of
-// device state, allowed to under-report the distance (an early wake is
-// only a lost skip) but never to over-report it, with sim.Never meaning
-// no event without new work from outside the cycle loop. Run uses it to
-// jump the clock over provably dead windows in one bulk advance.
-type EventStepper interface {
-	Stepper
 	NextEvent(now sim.Cycle) sim.Cycle
-}
-
-// CycleSkipper is an optional Stepper extension for devices whose Step
-// has per-cycle accounting even while waiting (the DMA engine counts
-// grant-wait and backoff stalls every cycle). When Run bulk-advances the
-// clock by n cycles it calls SkipCycles(n) so the device applies the
-// accounting those n elided Steps would have done. Devices without
-// per-cycle side effects need not implement it.
-type CycleSkipper interface {
 	SkipCycles(n uint64)
 }
 
@@ -172,7 +161,7 @@ type Machine struct {
 	mem     *memory.System
 	cpus    []*cpu.Processor
 	caches  []*core.Cache
-	devices []Stepper
+	devices []Device
 	tracer  *obs.Tracer
 	reg     *stats.Registry
 	plan    *fault.Plan
@@ -386,7 +375,7 @@ func (m *Machine) Caches() []*core.Cache { return m.caches }
 
 // AddDevice registers a device for per-cycle stepping. The device is
 // responsible for attaching itself to the bus.
-func (m *Machine) AddDevice(d Stepper) { m.devices = append(m.devices, d) }
+func (m *Machine) AddDevice(d Device) { m.devices = append(m.devices, d) }
 
 // AttachSources installs a reference source per processor.
 func (m *Machine) AttachSources(mk func(i int, c *core.Cache) trace.Source) {
@@ -442,9 +431,9 @@ func (m *Machine) Step() {
 // plan) for its NextEvent and jumps the clock to just before the
 // earliest one in a single bulk advance — cycle-exact and
 // byte-identical to stepping, because the elided cycles are provably
-// no-ops apart from the per-cycle accounting CycleSkipper devices apply
-// in bulk. This is the fast path for DMA drains, seek waits, scripted
-// rigs, and halted-CPU measurement harnesses.
+// no-ops apart from the per-cycle accounting devices apply in bulk
+// through SkipCycles. This is the fast path for DMA drains, seek waits,
+// scripted rigs, and halted-CPU measurement harnesses.
 func (m *Machine) Run(n uint64) {
 	end := m.clock.Now() + sim.Cycle(n)
 	for {
@@ -499,18 +488,7 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 		ev = sim.EarliestEvent(ev, c.NextEvent(now))
 	}
 	for _, d := range m.devices {
-		switch x := d.(type) {
-		case EventStepper:
-			ev = sim.EarliestEvent(ev, x.NextEvent(now))
-		case IdleStepper:
-			if !x.Idle() {
-				return now + 1
-			}
-			// Idle: no events until new work from outside the loop.
-		default:
-			// A bare Stepper gives no quiescence signal; never skip.
-			return now + 1
-		}
+		ev = sim.EarliestEvent(ev, d.NextEvent(now))
 	}
 	if m.plan != nil {
 		ev = sim.EarliestEvent(ev, m.plan.NextEvent(now))
@@ -519,25 +497,22 @@ func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 }
 
 // SkipCycles advances the machine n cycles in one bulk jump: the clock
-// and the bus cycle counter move, and CycleSkipper devices apply their
-// per-cycle accounting. Valid only when the machine has no event in the
-// window (NextEvent(now) > now+n); Run and the cluster maintain that
-// invariant.
+// and the bus cycle counter move, and every device applies its per-cycle
+// accounting. Valid only when the machine has no event in the window
+// (NextEvent(now) > now+n); Run and the cluster maintain that invariant.
 func (m *Machine) SkipCycles(n uint64) {
 	m.clock.Advance(sim.Cycle(n))
-	m.bus.SkipIdle(n)
+	m.bus.SkipCycles(n)
 	for _, d := range m.devices {
-		if cs, ok := d.(CycleSkipper); ok {
-			cs.SkipCycles(n)
-		}
+		d.SkipCycles(n)
 	}
 }
 
 // RunSeconds advances the machine by the given simulated time, rounded
-// to the nearest whole cycle (truncation silently lost a cycle for
-// wall-times that are not exact cycle multiples).
+// to the nearest whole cycle. It panics on a negative or non-finite
+// duration (see sim.SecondsToCycles).
 func (m *Machine) RunSeconds(s float64) {
-	m.Run(uint64(math.Round(s * 1e9 / sim.CycleNS)))
+	m.Run(sim.SecondsToCycles(s))
 }
 
 // Warmup runs the machine for n cycles and then clears every statistic,

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"firefly/internal/cpu"
 	"firefly/internal/mbus"
 	"firefly/internal/model"
+	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
 
@@ -32,16 +34,54 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, n := range []int{0, -1, 100} {
-		cfg := MicroVAXConfig(n)
+	bad := map[string]func(*Config){
+		"no processors":       func(c *Config) { c.Processors = 0 },
+		"negative processors": func(c *Config) { c.Processors = -1 },
+		"100 processors":      func(c *Config) { c.Processors = 100 },
+		"3 cache lines":       func(c *Config) { c.CacheLines = 3 },
+		"-4 cache lines":      func(c *Config) { c.CacheLines = -4 },
+		"3 line words":        func(c *Config) { c.LineWords = 3 },
+		"-2 line words":       func(c *Config) { c.LineWords = -2 },
+	}
+	for name, mutate := range bad {
+		cfg := MicroVAXConfig(2)
+		mutate(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s: Validate accepted the config", name)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New with %d processors did not panic", n)
+					t.Errorf("%s: New did not panic", name)
 				}
 			}()
 			New(cfg)
 		}()
+	}
+	// Zero geometry means the defaults.
+	if err := MicroVAXConfig(2).Validate(); err != nil {
+		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+func TestRunSecondsRejectsBadDurations(t *testing.T) {
+	m := New(MicroVAXConfig(1))
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("RunSeconds(%v) did not panic", s)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprint(s)) {
+					t.Fatalf("RunSeconds(%v) panic %q does not name the value", s, msg)
+				}
+			}()
+			m.RunSeconds(s)
+		}()
+	}
+	if now := m.Clock().Now(); now != 0 {
+		t.Fatalf("rejected durations advanced the clock to %d", now)
 	}
 }
 
@@ -295,7 +335,9 @@ func TestDeviceStepping(t *testing.T) {
 
 type stepFunc func()
 
-func (f stepFunc) Step() { f() }
+func (f stepFunc) Step()                             { f() }
+func (f stepFunc) NextEvent(now sim.Cycle) sim.Cycle { return now + 1 }
+func (f stepFunc) SkipCycles(uint64)                 {}
 
 func TestCVAXMachineRuns(t *testing.T) {
 	m := New(CVAXConfig(4))

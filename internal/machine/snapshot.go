@@ -11,7 +11,7 @@ import (
 	"firefly/internal/sim"
 )
 
-// Snapshottable is an optional Stepper extension for devices that can
+// Snapshottable is an optional Device extension for devices that can
 // capture and restore their mutable state (the QBus DMA engine, the
 // disk and Ethernet controllers). SaveState returns an opaque deep copy
 // or an error when the device is in a state it cannot serialize (e.g. a
@@ -28,8 +28,7 @@ type Snapshottable interface {
 // plan, and every attached device, all as opaque deep copies. A
 // snapshot restored into an identically built machine — same Config,
 // same sources, same devices in the same order — continues bit-for-bit
-// as the original would have, which is what lets the sweep engine
-// warm-start cloned machines past a shared prefix and fireflysim
+// as the original would have, which is what lets fireflysim
 // time-travel. Wiring (tracers, hooks) is not captured: a machine with
 // tracing enabled emits events the snapshot knows nothing about.
 type Snapshot struct {

@@ -419,15 +419,18 @@ func (b *Bus) InFlight() (op OpKind, addr Addr, active bool) {
 	return b.op, b.addr, b.active
 }
 
-// Quiescent reports whether the bus is provably doing nothing: no
-// operation in flight and no attached initiator requesting service.
-// BusRequest polling is side-effect-free by contract (agents must keep
-// returning the same request until granted), so the probe does not
-// perturb arbitration. The machine's run loop uses this to skip idle
-// stretches in bulk.
-func (b *Bus) Quiescent() bool {
+// NextEvent reports the earliest future cycle at which stepping the bus
+// may change observable state: the next cycle while an operation is in
+// flight or any attached initiator is requesting service, sim.Never
+// otherwise. BusRequest polling is side-effect-free by contract (agents
+// must keep returning the same request until granted), so the probe does
+// not perturb arbitration. Initiators whose raised request is
+// temporarily invisible (retry backoff) report their own wake-up cycle
+// through their own NextEvent — the bus cannot see them and does not try
+// to.
+func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	if b.active {
-		return false
+		return now + 1
 	}
 	for i := range b.ports {
 		in := b.ports[i].initiator
@@ -435,30 +438,17 @@ func (b *Bus) Quiescent() bool {
 			continue
 		}
 		if _, ok := in.BusRequest(); ok {
-			return false
+			return now + 1
 		}
 	}
-	return true
+	return sim.Never
 }
 
-// NextEvent reports the earliest future cycle at which stepping the bus
-// may change observable state: the next cycle while an operation is in
-// flight or any port is requesting, sim.Never otherwise. Initiators
-// whose raised request is temporarily invisible (retry backoff) report
-// their own wake-up cycle through their own NextEvent — the bus cannot
-// see them and does not try to.
-func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
-	if b.Quiescent() {
-		return sim.Never
-	}
-	return now + 1
-}
-
-// SkipIdle accounts n cycles during which the caller has established the
-// bus would only have idled: the cycle counter advances with no busy,
-// wait, or operation accounting, exactly as n idle Steps would have
-// left it. The caller is responsible for advancing the machine clock.
-func (b *Bus) SkipIdle(n uint64) { b.stats.Cycles += n }
+// SkipCycles accounts n cycles during which the caller has established
+// the bus would only have idled: the cycle counter advances with no busy,
+// wait, or operation accounting, exactly as n idle Steps would have left
+// it. The caller is responsible for advancing the machine clock.
+func (b *Bus) SkipCycles(n uint64) { b.stats.Cycles += n }
 
 // Interrupt delivers an MBus interprocessor interrupt to the agent on the
 // target port. Delivery is immediate; the hardware used dedicated bus

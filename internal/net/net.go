@@ -236,20 +236,6 @@ func (s *Segment) RegisterStats(r *stats.Registry) {
 	r.RegisterCounter("net.busy_cycles", &s.stats.BusyCycles)
 }
 
-// Idle reports that no frame is on the wire and no station has one
-// queued, so further Steps are no-ops until a new Send.
-func (s *Segment) Idle() bool {
-	if s.cur != nil {
-		return false
-	}
-	for _, st := range s.stations {
-		if len(st.queue) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // emit sends a segment event to the tracer, if one is installed.
 func (s *Segment) emit(kind obs.Kind, unit int, a, b uint64) {
 	if s.tracer == nil {

@@ -132,10 +132,6 @@ func (d *Disk) QueueLen() int { return len(d.queue) }
 // Busy reports whether a command is queued or in progress.
 func (d *Disk) Busy() bool { return d.cur != nil || len(d.queue) > 0 }
 
-// Idle reports that no command is queued or in progress (seek delays are
-// part of the current command). It satisfies machine.IdleStepper.
-func (d *Disk) Idle() bool { return !d.Busy() }
-
 // NextEvent reports the earliest future cycle at which Step may change
 // the controller's state: the end of the mechanical delay while seeking,
 // the next cycle while a command waits at the head of the queue, and
@@ -156,6 +152,9 @@ func (d *Disk) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	return sim.Never
 }
+
+// SkipCycles is a no-op: the controller keeps no per-cycle accounting.
+func (d *Disk) SkipCycles(uint64) {}
 
 // SaveState returns a deep copy of the controller's mutable state. Only
 // an idle controller (no command queued or in progress) can be saved:
@@ -358,10 +357,6 @@ func (e *Ethernet) AttachMedium(m Medium, station int) {
 // Busy reports whether operations are queued or in progress.
 func (e *Ethernet) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 
-// Idle reports that no operation is queued or in progress (wire time is
-// part of the current operation). It satisfies machine.IdleStepper.
-func (e *Ethernet) Idle() bool { return !e.Busy() }
-
 // Transmit queues a packet send: words longwords DMA'd from QBus address
 // qaddr, then serialized onto the wire. onDone (optional) receives the
 // transmitted packet.
@@ -405,6 +400,9 @@ func (e *Ethernet) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	return sim.Never
 }
+
+// SkipCycles is a no-op: the controller keeps no per-cycle accounting.
+func (e *Ethernet) SkipCycles(uint64) {}
 
 // SaveState returns a copy of the controller's counters. Only an idle
 // controller can be saved: queued operations hold caller-owned

@@ -227,10 +227,10 @@ func (e *Engine) Stats() EngineStats {
 // Busy reports whether transfers are queued or in progress.
 func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 
-// Idle reports that the engine has no queued or current transfer and no
+// idle reports that the engine has no queued or current transfer and no
 // bus request pending or in flight, so further Steps are no-ops until a
-// new Submit. It satisfies machine.IdleStepper.
-func (e *Engine) Idle() bool {
+// new Submit (NextEvent reports sim.Never). Snapshots require it.
+func (e *Engine) idle() bool {
 	return e.cur == nil && len(e.queue) == 0 && !e.reqValid && !e.inFlight
 }
 
@@ -360,8 +360,8 @@ func (e *Engine) BusRequest() (mbus.Request, bool) {
 	}
 	if e.retryAt != 0 {
 		// Backing off after a faulted word. The request stays raised so
-		// Idle() reports work pending, but arbitration waits out the
-		// backoff window.
+		// NextEvent reports the backoff expiry, but arbitration waits out
+		// the backoff window.
 		if e.clock.Now() < e.retryAt {
 			return mbus.Request{}, false
 		}
@@ -440,7 +440,7 @@ type EngineState struct {
 // Transfer's Data and OnDone belong to the submitting device and cannot
 // be rewound.
 func (e *Engine) SaveState() (any, error) {
-	if !e.Idle() {
+	if !e.idle() {
 		return nil, fmt.Errorf("qbus: snapshot requires an idle DMA engine (transfer in progress)")
 	}
 	return &EngineState{nextIssue: e.nextIssue, stats: e.Stats()}, nil
@@ -452,7 +452,7 @@ func (e *Engine) RestoreState(s any) error {
 	if !ok {
 		return fmt.Errorf("qbus: RestoreState with foreign state %T", s)
 	}
-	if !e.Idle() {
+	if !e.idle() {
 		return fmt.Errorf("qbus: restore requires an idle DMA engine (transfer in progress)")
 	}
 	e.nextIssue = st.nextIssue

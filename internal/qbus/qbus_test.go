@@ -231,7 +231,7 @@ func TestEngineMapFaultAborts(t *testing.T) {
 	if b.engine.Stats().MapFaults.Value() != 1 {
 		t.Fatal("map fault not counted")
 	}
-	if !b.engine.Idle() {
+	if !b.engine.idle() {
 		t.Fatal("engine not idle after aborted transfer")
 	}
 }

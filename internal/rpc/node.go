@@ -642,7 +642,7 @@ func (n *Node) issue(dst, payloadBytes int, proc uint16, openLoop bool, onDone f
 	return c
 }
 
-// Step implements machine.Stepper: the client's retransmission timer.
+// Step implements machine.Device: the client's retransmission timer.
 func (n *Node) Step() {
 	if len(n.calls) == 0 || n.clock.Now() < n.nextDeadline {
 		return
@@ -684,11 +684,7 @@ func (n *Node) Step() {
 	n.nextDeadline = next
 }
 
-// Idle implements machine.IdleStepper: with no outstanding calls the
-// timer has nothing to do.
-func (n *Node) Idle() bool { return len(n.calls) == 0 }
-
-// NextEvent implements machine.EventStepper: between retransmission
+// NextEvent implements machine.Device: between retransmission
 // deadlines Step provably does nothing, so a machine whose only pending
 // work is waiting for replies can big-step the whole wait. nextDeadline
 // may belong to a call that has since completed — an early wake-up and
@@ -703,6 +699,10 @@ func (n *Node) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	return n.nextDeadline
 }
+
+// SkipCycles implements machine.Device; the timer keeps no per-cycle
+// accounting.
+func (n *Node) SkipCycles(uint64) {}
 
 // Deliver accepts a frame from the shared medium: it lands in a receive
 // buffer by DMA, then the transport parses it out of machine memory.

@@ -1,10 +1,15 @@
 // Package sim provides the simulation substrate shared by every Firefly
 // subsystem: a cycle clock in MBus cycles (100 ns), a deterministic
-// pseudo-random source, and a discrete-event queue used by the Topaz and
-// RPC layers, which operate on simulated time rather than bus cycles.
+// pseudo-random source, the worker pool that runs independent machines
+// side by side, and a small discrete-event queue for the analytic RPC
+// transport model (rpc.Run), which works in simulated time rather than
+// bus cycles.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CycleNS is the duration of one MBus cycle in nanoseconds. The Firefly
 // MBus runs at 10 MHz: each of the four phases of an MRead or MWrite
@@ -13,6 +18,18 @@ const CycleNS = 100
 
 // Cycle counts MBus cycles since simulation start.
 type Cycle uint64
+
+// SecondsToCycles converts a simulated duration to whole cycles, rounded
+// to the nearest cycle (truncation would lose a cycle for durations that
+// are not exact cycle multiples). A negative or non-finite duration is a
+// caller bug — converted to uint64 it would run for about 2^63 cycles —
+// so it panics, naming the value.
+func SecondsToCycles(s float64) uint64 {
+	if !(s >= 0) || math.IsInf(s, 1) {
+		panic(fmt.Sprintf("sim: simulated duration %v s is not finite and non-negative", s))
+	}
+	return uint64(math.Round(s * 1e9 / CycleNS))
+}
 
 // NS returns the simulated time of the cycle in nanoseconds.
 func (c Cycle) NS() uint64 { return uint64(c) * CycleNS }

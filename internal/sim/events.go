@@ -2,40 +2,26 @@ package sim
 
 import "container/heap"
 
-// Event is a callback scheduled at a simulated time. Events at the same
+// event is a callback scheduled at a simulated time. Events at the same
 // time fire in the order they were scheduled (FIFO tie-break), which keeps
-// the discrete-event layers deterministic.
-type Event struct {
-	At   Cycle
-	Fn   func()
-	seq  uint64
-	idx  int
-	dead bool
+// the discrete-event model deterministic.
+type event struct {
+	at  Cycle
+	fn  func()
+	seq uint64
 }
 
-// Cancel marks the event so it will not fire. Cancelling an already-fired
-// or already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -45,10 +31,9 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// EventQueue is a discrete-event scheduler over simulated time. The Topaz
-// and RPC layers run on an EventQueue; the cycle-level machine uses a plain
-// tick loop instead, and the two are bridged by scheduling events at cycle
-// boundaries.
+// EventQueue is a discrete-event scheduler over simulated time, used by
+// the analytic RPC transport model (rpc.Run). The cycle-level machine
+// uses a tick loop and the NextEvent contract instead.
 type EventQueue struct {
 	clock *Clock
 	h     eventHeap
@@ -60,97 +45,35 @@ func NewEventQueue(clock *Clock) *EventQueue {
 	return &EventQueue{clock: clock}
 }
 
-// Clock returns the clock driven by the queue.
-func (q *EventQueue) Clock() *Clock { return q.clock }
-
 // Now returns the current simulated time.
 func (q *EventQueue) Now() Cycle { return q.clock.Now() }
 
 // At schedules fn at the absolute cycle at. Scheduling in the past panics:
 // it is always a simulator bug.
-func (q *EventQueue) At(at Cycle, fn func()) *Event {
+func (q *EventQueue) At(at Cycle, fn func()) {
 	if at < q.clock.Now() {
 		panic("sim: event scheduled in the past")
 	}
-	e := &Event{At: at, Fn: fn, seq: q.seq}
+	heap.Push(&q.h, &event{at: at, fn: fn, seq: q.seq})
 	q.seq++
-	heap.Push(&q.h, e)
-	return e
 }
 
-// After schedules fn delay cycles from now.
-func (q *EventQueue) After(delay Cycle, fn func()) *Event {
-	return q.At(q.clock.Now()+delay, fn)
-}
-
-// Pending reports how many live events remain queued.
-func (q *EventQueue) Pending() int {
-	n := 0
-	for _, e := range q.h {
-		if !e.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// Step fires the next live event, advancing the clock to its time.
-// It reports whether an event fired.
-func (q *EventQueue) Step() bool {
-	for q.h.Len() > 0 {
-		e := heap.Pop(&q.h).(*Event)
-		if e.dead {
-			continue
-		}
-		if e.At > q.clock.Now() {
-			q.clock.Advance(e.At - q.clock.Now())
-		}
-		e.Fn()
-		return true
-	}
-	return false
-}
-
-// RunUntil drains events with time <= deadline. Events scheduled during the
-// run are honored if they fall within the deadline. It returns the number
-// of events fired.
+// RunUntil fires, in time order, every event at or before deadline,
+// advancing the clock to each event's time and finally to deadline.
+// Events scheduled during the run are honored if they fall within the
+// deadline. It returns the number of events fired.
 func (q *EventQueue) RunUntil(deadline Cycle) int {
 	fired := 0
-	for q.h.Len() > 0 {
-		next := q.peek()
-		if next == nil {
-			break
+	for len(q.h) > 0 && q.h[0].at <= deadline {
+		e := heap.Pop(&q.h).(*event)
+		if e.at > q.clock.Now() {
+			q.clock.Advance(e.at - q.clock.Now())
 		}
-		if next.At > deadline {
-			break
-		}
-		q.Step()
+		e.fn()
 		fired++
 	}
 	if q.clock.Now() < deadline {
 		q.clock.Advance(deadline - q.clock.Now())
 	}
 	return fired
-}
-
-// Run drains every event. It returns the number fired. Use only with
-// workloads that terminate; an event that always reschedules itself will
-// spin forever.
-func (q *EventQueue) Run() int {
-	fired := 0
-	for q.Step() {
-		fired++
-	}
-	return fired
-}
-
-func (q *EventQueue) peek() *Event {
-	for q.h.Len() > 0 {
-		e := q.h[0]
-		if !e.dead {
-			return e
-		}
-		heap.Pop(&q.h)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -154,7 +155,7 @@ func TestEventQueueOrdering(t *testing.T) {
 	q.At(30, func() { order = append(order, 3) })
 	q.At(10, func() { order = append(order, 1) })
 	q.At(20, func() { order = append(order, 2) })
-	q.Run()
+	q.RunUntil(30)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("event order = %v", order)
 	}
@@ -171,23 +172,14 @@ func TestEventQueueFIFOTieBreak(t *testing.T) {
 		i := i
 		q.At(5, func() { order = append(order, i) })
 	}
-	q.Run()
+	q.RunUntil(5)
+	if len(order) != 10 {
+		t.Fatalf("fired %d of 10 same-time events", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events fired out of order: %v", order)
 		}
-	}
-}
-
-func TestEventQueueCancel(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	fired := false
-	e := q.At(10, func() { fired = true })
-	e.Cancel()
-	q.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
 	}
 }
 
@@ -210,7 +202,7 @@ func TestEventQueueRunUntil(t *testing.T) {
 	q.At(10, func() { count++ })
 	q.At(20, func() {
 		count++
-		q.After(5, func() { count++ }) // lands at 25, inside deadline
+		q.At(q.Now()+5, func() { count++ }) // lands at 25, inside deadline
 	})
 	q.At(100, func() { count++ }) // beyond deadline
 	fired := q.RunUntil(50)
@@ -220,20 +212,9 @@ func TestEventQueueRunUntil(t *testing.T) {
 	if clock.Now() != 50 {
 		t.Fatalf("clock = %v, want 50 after RunUntil", clock.Now())
 	}
-	if q.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Pending())
-	}
-}
-
-func TestEventQueueAfter(t *testing.T) {
-	var clock Clock
-	clock.Advance(7)
-	q := NewEventQueue(&clock)
-	var at Cycle
-	q.After(3, func() { at = clock.Now() })
-	q.Run()
-	if at != 10 {
-		t.Fatalf("After(3) fired at %v, want 10", at)
+	// The event beyond the first deadline stayed queued for the next run.
+	if fired := q.RunUntil(100); fired != 1 || count != 4 {
+		t.Fatalf("second run fired=%d count=%d, want 1,4", fired, count)
 	}
 }
 
@@ -245,15 +226,29 @@ func TestEventQueueReschedulingChain(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 100 {
-			q.After(2, tick)
+			q.At(q.Now()+2, tick)
 		}
 	}
-	q.After(2, tick)
-	q.Run()
+	q.At(2, tick)
+	q.RunUntil(1000)
 	if count != 100 {
 		t.Fatalf("chain fired %d times, want 100", count)
 	}
-	if clock.Now() != 200 {
-		t.Fatalf("clock = %v, want 200", clock.Now())
+	if clock.Now() != 1000 {
+		t.Fatalf("clock = %v, want 1000", clock.Now())
+	}
+}
+
+func TestParallelForCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		for _, n := range []int{0, 1, 7, 100} {
+			hits := make([]int32, n)
+			ParallelFor(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
+				}
+			}
+		}
 	}
 }

@@ -10,10 +10,9 @@ import "math/bits"
 // allocations, which is what lets every RPC node keep one on the
 // per-call completion path of a fleet-sized run.
 //
-// Unlike Histogram (map-backed, arbitrary bin width), a LogHist of any
-// value range costs the same 8 KB and two LogHists merge by element-wise
-// addition, which is how the cluster aggregates per-member latency into
-// fleet-wide percentiles.
+// A LogHist of any value range costs the same 8 KB, and two LogHists
+// merge by element-wise addition, which is how the cluster aggregates
+// per-member latency into fleet-wide percentiles.
 type LogHist struct {
 	counts [logHistBuckets]uint64
 	n      uint64
@@ -131,9 +130,4 @@ func (h *LogHist) Merge(o *LogHist) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-}
-
-// Reset clears the histogram.
-func (h *LogHist) Reset() {
-	*h = LogHist{}
 }

@@ -113,16 +113,6 @@ func TestLogHistObserveZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestLogHistReset(t *testing.T) {
-	var h LogHist
-	h.Observe(5)
-	h.Observe(1 << 20)
-	h.Reset()
-	if h.Count() != 0 || h.Percentile(0.5) != 0 {
-		t.Fatal("reset did not clear the histogram")
-	}
-}
-
 func BenchmarkLogHistObserve(b *testing.B) {
 	var h LogHist
 	vals := make([]uint64, 1024)

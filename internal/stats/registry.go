@@ -98,17 +98,6 @@ func (r *Registry) Snapshot() []NamedValue {
 	return out
 }
 
-// WithPrefix returns the snapshot entries whose names start with prefix.
-func (r *Registry) WithPrefix(prefix string) []NamedValue {
-	var out []NamedValue
-	for _, nv := range r.Snapshot() {
-		if strings.HasPrefix(nv.Name, prefix) {
-			out = append(out, nv)
-		}
-	}
-	return out
-}
-
 // String renders the full snapshot, one "name value" line per counter.
 func (r *Registry) String() string {
 	var b strings.Builder

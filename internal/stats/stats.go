@@ -8,8 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -25,19 +23,6 @@ func (c *Counter) Inc() { *c++ }
 // Value returns the current count.
 func (c Counter) Value() uint64 { return uint64(c) }
 
-// PerSecond converts the count into an events-per-second rate over the
-// given simulated duration in seconds. Durations that cannot yield a
-// meaningful rate — zero, negative, or NaN — return 0 rather than
-// propagating NaN/Inf into reports; an infinite duration likewise rates
-// 0. Counts up to the full uint64 range convert through float64 (at most
-// 1 ulp of rounding, never overflow).
-func (c Counter) PerSecond(seconds float64) float64 {
-	if !(seconds > 0) { // catches zero, negative, and NaN
-		return 0
-	}
-	return float64(c) / seconds
-}
-
 // Ratio returns c divided by total, or 0 when total is zero. Both
 // operands convert through float64, so counts near the top of the uint64
 // range divide without overflow (with at most 1 ulp of rounding).
@@ -46,84 +31,6 @@ func Ratio(c, total uint64) float64 {
 		return 0
 	}
 	return float64(c) / float64(total)
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Histogram tracks a distribution of integer samples in fixed-width bins.
-type Histogram struct {
-	BinWidth uint64
-	bins     map[uint64]uint64
-	count    uint64
-	sum      uint64
-	max      uint64
-}
-
-// NewHistogram returns a histogram with the given bin width (minimum 1).
-func NewHistogram(binWidth uint64) *Histogram {
-	if binWidth == 0 {
-		binWidth = 1
-	}
-	return &Histogram{BinWidth: binWidth, bins: make(map[uint64]uint64)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.bins[v/h.BinWidth]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the mean sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Percentile returns the smallest bin upper bound covering fraction p of
-// the samples (p in [0,1]).
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	keys := make([]uint64, 0, len(h.bins))
-	for k := range h.bins {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	need := uint64(math.Ceil(p * float64(h.count)))
-	if need == 0 {
-		need = 1
-	}
-	var seen uint64
-	for _, k := range keys {
-		seen += h.bins[k]
-		if seen >= need {
-			return (k + 1) * h.BinWidth
-		}
-	}
-	return (keys[len(keys)-1] + 1) * h.BinWidth
 }
 
 // Table renders aligned text tables in the style of the paper's Table 1
@@ -144,31 +51,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.headers))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row, formatting each cell with the matching verb in
-// formats. Numeric cells typically use "%.2f" or "%d".
-func (t *Table) AddRowf(formats []string, values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		f := "%v"
-		if i < len(formats) && formats[i] != "" {
-			f = formats[i]
-		}
-		cells[i] = fmt.Sprintf(f, v)
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Cell returns the cell at row r, column c ("" when out of range).
-func (t *Table) Cell(r, c int) string {
-	if r < 0 || r >= len(t.rows) || c < 0 || c >= len(t.rows[r]) {
-		return ""
-	}
-	return t.rows[r][c]
 }
 
 // String renders the table.
@@ -209,9 +91,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// FormatK formats a per-second rate as the paper's "K refs/sec" unit.
-func FormatK(rate float64) string {
-	return fmt.Sprintf("%.0f", rate/1000)
 }

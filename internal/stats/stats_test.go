@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -13,42 +12,6 @@ func TestCounterBasics(t *testing.T) {
 	c.Add(9)
 	if c.Value() != 10 {
 		t.Fatalf("counter = %d, want 10", c.Value())
-	}
-}
-
-func TestCounterPerSecond(t *testing.T) {
-	var c Counter
-	c.Add(1000)
-	if got := c.PerSecond(2); got != 500 {
-		t.Fatalf("PerSecond(2) = %v, want 500", got)
-	}
-	if got := c.PerSecond(0); got != 0 {
-		t.Fatalf("PerSecond(0) = %v, want 0", got)
-	}
-}
-
-func TestCounterPerSecondEdgeCases(t *testing.T) {
-	var c Counter
-	c.Add(1000)
-	// Degenerate durations must yield 0, never NaN or Inf.
-	for _, secs := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if got := c.PerSecond(secs); got != 0 {
-			t.Fatalf("PerSecond(%v) = %v, want 0", secs, got)
-		}
-	}
-	// A zero count over a real duration is a real rate of 0.
-	var z Counter
-	if got := z.PerSecond(3); got != 0 {
-		t.Fatalf("zero counter PerSecond(3) = %v", got)
-	}
-	// Counts near the top of the uint64 range convert without overflow.
-	big := Counter(math.MaxUint64)
-	got := big.PerSecond(1)
-	if math.IsInf(got, 0) || math.IsNaN(got) || got <= 0 {
-		t.Fatalf("PerSecond of max counter = %v", got)
-	}
-	if rel := math.Abs(got-float64(math.MaxUint64)) / float64(math.MaxUint64); rel > 1e-15 {
-		t.Fatalf("PerSecond of max counter off by %v relative", rel)
 	}
 }
 
@@ -85,79 +48,6 @@ func TestRatioEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v", got)
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
-func TestHistogramMeanMax(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{5, 15, 25, 95} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 95 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	if h.Mean() != 35 {
-		t.Fatalf("mean = %v, want 35", h.Mean())
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(1)
-	for v := uint64(0); v < 100; v++ {
-		h.Observe(v)
-	}
-	if p := h.Percentile(0.5); p < 49 || p > 51 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 100 {
-		t.Fatalf("p100 = %d, want 100", p)
-	}
-	empty := NewHistogram(1)
-	if empty.Percentile(0.5) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestHistogramZeroBinWidth(t *testing.T) {
-	h := NewHistogram(0)
-	h.Observe(3)
-	if h.BinWidth != 1 {
-		t.Fatalf("bin width = %d, want 1", h.BinWidth)
-	}
-}
-
-func TestHistogramPercentileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		h := NewHistogram(4)
-		x := uint64(seed)
-		for i := 0; i < 200; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			h.Observe(x % 1000)
-		}
-		last := uint64(0)
-		for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			v := h.Percentile(p)
-			if v < last {
-				return false
-			}
-			last = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table X", "NP", "L", "TPI")
 	tb.AddRow("2", ".20", "13.3")
@@ -173,33 +63,15 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("want 5 lines (title, header, rule, 2 rows), got %d:\n%s", len(lines), s)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRowf([]string{"%d", "%.2f"}, 7, 3.14159)
-	if tb.Cell(0, 0) != "7" || tb.Cell(0, 1) != "3.14" {
-		t.Fatalf("cells = %q, %q", tb.Cell(0, 0), tb.Cell(0, 1))
-	}
-	if tb.Cell(5, 5) != "" {
-		t.Fatal("out-of-range cell not empty")
-	}
 }
 
 func TestTableShortRowPadded(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("1")
-	if tb.Cell(0, 2) != "" {
-		t.Fatal("padding cell should be empty")
-	}
-	_ = tb.String() // must not panic
-}
-
-func TestFormatK(t *testing.T) {
-	if got := FormatK(1_350_000); got != "1350" {
-		t.Fatalf("FormatK = %q, want 1350", got)
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	// Header, rule, and the short row padded with empty cells to the
+	// full width.
+	if len(lines) != 3 || lines[2] != "1      " {
+		t.Fatalf("short row rendered as %q", lines)
 	}
 }

@@ -175,7 +175,7 @@ func (e *Engine) drawClass() Class {
 	return ClassFile // unreachable: weights sum to mixTotal
 }
 
-// Step implements machine.Stepper on the balancer machine: admit every
+// Step implements machine.Device on the balancer machine: admit every
 // arrival due by now and issue every session whose think time expired.
 func (e *Engine) Step() {
 	now := e.clock.Now()
@@ -189,7 +189,7 @@ func (e *Engine) Step() {
 	}
 }
 
-// NextEvent implements machine.EventStepper: the next arrival or the
+// NextEvent implements machine.Device: the next arrival or the
 // earliest scheduled issue, whichever is sooner. Arrivals never stop, so
 // the engine always has a future event; the machine big-steps the gaps.
 func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
@@ -202,6 +202,10 @@ func (e *Engine) NextEvent(now sim.Cycle) sim.Cycle {
 	}
 	return ev
 }
+
+// SkipCycles implements machine.Device; the engine keeps no per-cycle
+// accounting.
+func (e *Engine) SkipCycles(uint64) {}
 
 // startSession admits one arriving user: draw its class and home
 // segment, then issue its first call immediately.

@@ -103,7 +103,7 @@ func soakOne(t *testing.T, r *Report, cfg check.StressConfig) {
 	sched := check.GenSchedule(cfg)
 	res, err := check.RunScheduleOpts(cfg, sched, check.RunOpts{
 		Observer:  observer,
-		Quiescent: quiescent,
+		OnDrained: quiescent,
 	})
 	if err != nil {
 		t.Fatal(err)
