@@ -35,6 +35,7 @@ import (
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
 	"firefly/internal/rpc"
+	"firefly/internal/sim"
 	"firefly/internal/topaz"
 	"firefly/internal/trace"
 	"firefly/internal/traffic"
@@ -256,7 +257,7 @@ func main() {
 	clusterN := flag.Int("cluster", 0, "run an N-machine cluster on a shared Ethernet instead of one machine (node 0 serves, the rest call)")
 	callers := flag.Int("callers", 3, "caller threads per client machine in -cluster mode")
 	segments := flag.Int("segments", 1, "Ethernet segments in -cluster mode, joined store-and-forward by a bridge (machines split in contiguous blocks)")
-	travel := flag.Uint64("travel", 0, "time-travel: after the run, restore the post-warmup snapshot, replay to this cycle, and print the report there (synthetic workload only; 0 = off)")
+	travel := flag.Uint64("travel", 0, "time-travel: after the run, re-execute a fresh machine from the same flags to this cycle and print the report there (synthetic workload only; 0 = off)")
 	trafficSpec := flag.String("traffic", "", `fleet traffic spec, e.g. "rate=2000,mix=file:6/make:3/mdc:1,lb=least,queue=32,seed=5": member 0 load-balances an open-loop user population over the rest (defaults to a 16-machine 4-segment fleet unless -cluster/-segments are set)`)
 	flag.Parse()
 
@@ -297,7 +298,7 @@ func main() {
 		return
 	}
 
-	if *clusterN > 0 {
+	if *clusterN != 0 {
 		runCluster(*clusterN, *segments, *workers, *callers, *seconds, *seed, *faults)
 		return
 	}
@@ -388,6 +389,20 @@ func main() {
 		}
 		cfg.Faults = &fcfg
 	}
+	warm := sim.SecondsToCycles(*warmup)
+	if *travel > 0 {
+		switch {
+		case *wl != "synthetic":
+			fmt.Fprintf(os.Stderr, "fireflysim: -travel only supports the synthetic workload (got %q)\n", *wl)
+			os.Exit(2)
+		case *checkFlag:
+			fmt.Fprintln(os.Stderr, "fireflysim: -travel cannot be combined with -check")
+			os.Exit(2)
+		case *travel < warm:
+			fmt.Fprintf(os.Stderr, "fireflysim: -travel %d is before the end of warmup at cycle %d\n", *travel, warm)
+			os.Exit(2)
+		}
+	}
 	m := machine.New(cfg)
 
 	var checker *check.Checker
@@ -400,6 +415,10 @@ func main() {
 		}
 	}
 
+	var sink interface {
+		obs.Observer
+		Close() error
+	}
 	if *tracePath != "" {
 		if *traceFormat != "jsonl" && *traceFormat != "chrome" {
 			fmt.Fprintf(os.Stderr, "fireflysim: unknown trace format %q (known: jsonl, chrome)\n", *traceFormat)
@@ -409,10 +428,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fireflysim: %v\n", err)
 			os.Exit(1)
-		}
-		var sink interface {
-			obs.Observer
-			Close() error
 		}
 		if *traceFormat == "jsonl" {
 			sink = obs.NewJSONL(f)
@@ -428,58 +443,40 @@ func main() {
 		}()
 	}
 
-	cyc := func(s float64) uint64 { return uint64(s * 1e7) }
-
-	var travelSnap *machine.Snapshot
+	budget := sim.SecondsToCycles(*seconds)
 	switch *wl {
 	case "synthetic":
 		m.AttachSyntheticLoad(load)
-		m.Warmup(cyc(*warmup))
-		if *travel > 0 {
-			if *checkFlag {
-				fmt.Fprintln(os.Stderr, "fireflysim: -travel is incompatible with -check (the oracle's shadow state cannot rewind)")
-				os.Exit(2)
-			}
-			var err error
-			if travelSnap, err = m.Snapshot(); err != nil {
-				fmt.Fprintf(os.Stderr, "fireflysim: -travel: %v\n", err)
-				os.Exit(2)
-			}
-			if *travel < uint64(travelSnap.Cycle()) {
-				fmt.Fprintf(os.Stderr, "fireflysim: -travel %d is before the post-warmup snapshot at cycle %d\n",
-					*travel, uint64(travelSnap.Cycle()))
-				os.Exit(2)
-			}
-		}
-		m.RunSeconds(*seconds)
+		m.Warmup(warm)
+		m.Run(budget)
 
 	case "exerciser":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 1500, Dispatch: dispatch, Seed: *seed})
 		ex := workload.NewExerciser(k, workload.ExerciserConfig{
 			Threads: 16, Rounds: 1_000_000, SharedFraction: 0.35, Seed: *seed,
 		})
-		ex.Step(cyc(*warmup))
+		ex.Step(warm)
 		m.ResetStats()
-		ex.Step(cyc(*seconds))
+		ex.Step(budget)
 
 	case "make":
 		if dispatch == nil {
 			dispatch = topaz.MigrationAverse{}
 		}
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), cyc(*seconds)*100)
+		res := workload.RunMake(k, workload.StandardBuild(8, 40_000), budget*100)
 		fmt.Printf("parallel make: finished=%v in %.2f Mcycles (ok=%v)\n",
 			len(res.Finished), float64(res.Cycles)/1e6, res.OK)
 
 	case "pipeline":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunPipeline(k, workload.PipelineConfig{}, cyc(*seconds)*100)
+		res := workload.RunPipeline(k, workload.PipelineConfig{}, budget*100)
 		fmt.Printf("pipeline: %d items in %.2f Mcycles (ok=%v)\n",
 			len(res.Output), float64(res.Cycles)/1e6, res.OK)
 
 	case "compiler":
 		k := topaz.NewKernel(m, topaz.Config{Quantum: 2000, Dispatch: dispatch, Seed: *seed})
-		res := workload.RunCompiler(k, workload.CompilerConfig{}, cyc(*seconds)*100)
+		res := workload.RunCompiler(k, workload.CompilerConfig{}, budget*100)
 		fmt.Printf("parallel compile: %d procedures in %.2f Mcycles (ok=%v)\n",
 			len(res.Compiled), float64(res.Cycles)/1e6, res.OK)
 
@@ -487,21 +484,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fireflysim: unknown workload %q\n", *wl)
 		os.Exit(2)
 	}
-	if *travel > 0 && travelSnap == nil {
-		fmt.Fprintf(os.Stderr, "fireflysim: -travel only supports the synthetic workload (got %q)\n", *wl)
-		os.Exit(2)
-	}
 
 	fmt.Print(m.Report())
 
-	if travelSnap != nil {
-		if err := m.Restore(travelSnap); err != nil {
-			fmt.Fprintf(os.Stderr, "fireflysim: -travel restore: %v\n", err)
-			os.Exit(1)
+	if *travel > 0 {
+		// Time travel by re-execution: the run is a function of cfg and
+		// the seed, so a fresh machine driven the same way reaches the
+		// state at any past cycle. It gets its own arbiter, because a
+		// stateful one must not be shared with the first machine's bus,
+		// and traces only the re-executed window from warmup to K.
+		cfg.Arbiter, _ = mbus.NewArbiterByName(*arb)
+		m = machine.New(cfg)
+		m.AttachSyntheticLoad(load)
+		m.Warmup(warm)
+		if sink != nil {
+			m.Trace(sink)
 		}
-		m.Run(*travel - uint64(travelSnap.Cycle()))
-		fmt.Printf("\ntime-travel: restored to cycle %d, replayed to cycle %d\n",
-			uint64(travelSnap.Cycle()), uint64(m.Clock().Now()))
+		m.Run(*travel - warm)
+		fmt.Printf("\ntime-travel: restored to cycle %d, replayed to cycle %d\n", warm, uint64(m.Clock().Now()))
 		fmt.Print(m.Report())
 	}
 

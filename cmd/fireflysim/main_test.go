@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,13 +21,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// fireflysim returns a command that runs this test binary as fireflysim
+// with args.
+func fireflysim(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "FIREFLYSIM_RUN_MAIN=1")
+	return cmd
+}
+
 // runExpectExit2 runs fireflysim with args, requires exit status 2, and
 // returns the combined output.
 func runExpectExit2(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "FIREFLYSIM_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
+	out, err := fireflysim(args...).CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("%v: exit: %v, want status 2\n%s", args, err, out)
@@ -64,6 +72,11 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-cachelines", "-4"}, "fireflysim: machine: cache lines must be a power of two, got -4"},
 		{[]string{"-miss", "2"}, "fireflysim: trace: miss rate 2 out of [0,1]"},
 		{[]string{"-share", "-1"}, "fireflysim: trace: share fraction -1 out of [0,1]"},
+		{[]string{"-cluster", "-3"}, "fireflysim: -cluster -3: a cluster needs at least 2 machines"},
+		{[]string{"-warmup", "0.0029", "-travel", "28999"}, "fireflysim: -travel 28999 is before the end of warmup at cycle 29000"},
+		{[]string{"-workload", "exerciser", "-travel", "5"}, `fireflysim: -travel only supports the synthetic workload (got "exerciser")`},
+		{[]string{"-check", "-travel", "30000"}, "fireflysim: -travel cannot be combined with -check"},
+		{[]string{"-travel", "100"}, "fireflysim: -travel 100 is before the end of warmup at cycle 20000"},
 	} {
 		got := runExpectExit2(t, tc.args...)
 		if strings.Contains(got, "panic:") || strings.Contains(got, "goroutine ") {
@@ -71,6 +84,41 @@ func TestBadFlagsExit2(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Fatalf("%v: output:\n%s\nwant:\n%s", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestTravelMatchesDirectRun checks time travel against an independent
+// process: everything printed after the time-travel line for -travel K
+// must equal, byte for byte, the whole output of a run with the same
+// flags measuring K minus the warmup cycles.
+func TestTravelMatchesDirectRun(t *testing.T) {
+	for _, tc := range []struct {
+		flags  []string
+		warmup uint64 // cycles, matching -warmup in flags
+		travel uint64
+	}{
+		{[]string{"-cpus", "3", "-seconds", "0.005"}, 20_000, 30_000},
+		{[]string{"-cpus", "4", "-protocol", "dragon", "-arb", "fcfs", "-faults", "bus=1e-3,mem=1e-3",
+			"-warmup", "0.001", "-seconds", "0.004"}, 10_000, 25_000},
+	} {
+		out, err := fireflysim(append(tc.flags, "-travel", strconv.FormatUint(tc.travel, 10))...).Output()
+		if err != nil {
+			t.Fatalf("%v -travel %d: %v", tc.flags, tc.travel, err)
+		}
+		marker := fmt.Sprintf("\ntime-travel: restored to cycle %d, replayed to cycle %d\n", tc.warmup, tc.travel)
+		_, traveled, ok := strings.Cut(string(out), marker)
+		if !ok {
+			t.Fatalf("%v -travel %d: no %q line in\n%s", tc.flags, tc.travel, strings.TrimSpace(marker), out)
+		}
+		seconds := strconv.FormatFloat(float64(tc.travel-tc.warmup)/1e7, 'g', -1, 64)
+		direct, err := fireflysim(append(tc.flags, "-seconds", seconds)...).Output()
+		if err != nil {
+			t.Fatalf("%v -seconds %s: %v", tc.flags, seconds, err)
+		}
+		if traveled != string(direct) {
+			t.Errorf("%v: -travel %d report differs from a direct -seconds %s run\n--- travel ---\n%s--- direct ---\n%s",
+				tc.flags, tc.travel, seconds, traveled, direct)
 		}
 	}
 }

@@ -175,6 +175,10 @@ type Cluster struct {
 	bridgeStation []int // segment index -> bridge's local station
 
 	workers int
+	// runMember runs member j for window cycles. It is bound once in
+	// New so that a round allocates nothing.
+	runMember func(j int)
+	window    uint64
 	// minVisible bounds how soon a frame sent at or after "now" can
 	// complete or abort: min(MinFrameWords*WordCycles,
 	// (MaxAttempts-1)*SlotCycles) over the segments. It caps Run's
@@ -260,6 +264,7 @@ func New(cfg Config) *Cluster {
 		mv = sim.EarliestEvent(mv, sim.Cycle(v))
 	}
 	c.minVisible = mv
+	c.runMember = func(j int) { c.members[j].m.Run(c.window) }
 	return c
 }
 
@@ -439,7 +444,8 @@ func (c *Cluster) Run(n uint64) {
 // calls into a machine anywhere in the window, so the machines' head
 // start is unobservable.
 func (c *Cluster) round(w uint64) {
-	sim.ParallelFor(c.workers, len(c.members), func(j int) { c.members[j].m.Run(w) })
+	c.window = w
+	sim.ParallelFor(c.workers, len(c.members), c.runMember)
 	for k := uint64(0); k < w; k++ {
 		now := c.clock.Tick()
 		c.injectSends(now - 1)

@@ -56,6 +56,17 @@ func TestClusterRunSecondsRejectsBadDurations(t *testing.T) {
 	}
 }
 
+// TestClusterRunZeroAllocs pins the serial engine's steady state: an
+// idle 4-node cluster on one worker runs its windows without
+// allocating, so Run's cost on a quiet fleet is the simulation alone.
+func TestClusterRunZeroAllocs(t *testing.T) {
+	cl := New(Config{Machines: 4, Workers: 1, Node: quickNode(), Seed: 1})
+	cl.Run(200_000)
+	if avg := testing.AllocsPerRun(20, func() { cl.Run(20_000) }); avg != 0 {
+		t.Fatalf("idle cluster allocates %.1f times per Run(20000), want 0", avg)
+	}
+}
+
 // TestRunUntilBigStepDifferential proves the big-stepping RunUntil
 // triggers at exactly the cycle the old step-every-cycle loop did:
 // twin clusters, one driven by an explicit per-cycle loop, one by

@@ -16,9 +16,9 @@ package mbus
 // own state and its arguments — no clocks, no randomness that is not
 // seeded through the arbiter itself — so that a machine rebuilt with a
 // fresh arbiter and stepped through the same schedule reproduces the
-// same grants (the property snapshot/replay and the sweep engine rely
-// on). Stateful arbiters keep all bookkeeping internal and restore their
-// initial state on Reset.
+// same grants (the property fireflysim's -travel re-execution and the
+// sweep engine rely on). Stateful arbiters keep all bookkeeping internal
+// and restore their initial state on Reset.
 type Arbiter interface {
 	// Name returns the policy's stable identifier ("fixed", "rr",
 	// "fcfs") used by flags, reports, and trace labels. It must be a
@@ -32,22 +32,9 @@ type Arbiter interface {
 	// Grant is called exactly once per arbitration cycle that has a
 	// requester, so stateful arbiters may update their bookkeeping here.
 	Grant(requests []bool, last int) int
-	// Reset restores the arbiter's initial state. The bus calls it once
-	// at attachment; snapshot/replay harnesses call it before replaying
-	// a schedule from cycle zero.
+	// Reset restores the arbiter's initial state. New calls it when a
+	// bus adopts the arbiter.
 	Reset()
-}
-
-// StatefulArbiter is implemented by arbiters whose Grant decisions
-// depend on internal bookkeeping (e.g. the FCFS queue). Machine
-// snapshot/restore uses it to capture and rewind that bookkeeping;
-// stateless arbiters need not implement it.
-type StatefulArbiter interface {
-	Arbiter
-	// ArbState returns a deep copy of the arbiter's internal state.
-	ArbState() any
-	// RestoreArbState rewinds to a state previously returned by ArbState.
-	RestoreArbState(any)
 }
 
 // fixedPriority grants the lowest-numbered requesting port, as the
@@ -163,28 +150,6 @@ func (q *fcfsQueue) Reset() {
 		q.queued[i] = false
 	}
 }
-
-type fcfsState struct {
-	queue  []int
-	queued []bool
-}
-
-// ArbState implements StatefulArbiter.
-func (q *fcfsQueue) ArbState() any {
-	return fcfsState{
-		queue:  append([]int(nil), q.queue...),
-		queued: append([]bool(nil), q.queued...),
-	}
-}
-
-// RestoreArbState implements StatefulArbiter.
-func (q *fcfsQueue) RestoreArbState(s any) {
-	st := s.(fcfsState)
-	q.queue = append(q.queue[:0], st.queue...)
-	q.queued = append(q.queued[:0:0], st.queued...)
-}
-
-var _ StatefulArbiter = (*fcfsQueue)(nil)
 
 // arbiterNames lists the known policies in presentation order.
 var arbiterNames = []string{"fixed", "rr", "fcfs"}

@@ -156,47 +156,6 @@ func (d *Disk) NextEvent(now sim.Cycle) sim.Cycle {
 // SkipCycles is a no-op: the controller keeps no per-cycle accounting.
 func (d *Disk) SkipCycles(uint64) {}
 
-// SaveState returns a deep copy of the controller's mutable state. Only
-// an idle controller (no command queued or in progress) can be saved:
-// queued commands hold caller-owned completion closures that cannot be
-// duplicated. The sector store is captured so restored machines see the
-// same media contents.
-func (d *Disk) SaveState() (any, error) {
-	if d.Busy() {
-		return nil, fmt.Errorf("qbus: disk snapshot with a command queued or in progress")
-	}
-	st := &DiskState{stats: d.stats, store: make(map[uint32][]uint32, len(d.store))}
-	for lba, words := range d.store {
-		st.store[lba] = append([]uint32(nil), words...)
-	}
-	return st, nil
-}
-
-// RestoreState rewinds the controller to a previously saved state. The
-// controller must be idle.
-func (d *Disk) RestoreState(s any) error {
-	st, ok := s.(*DiskState)
-	if !ok {
-		return fmt.Errorf("qbus: disk restore from %T", s)
-	}
-	if d.Busy() {
-		return fmt.Errorf("qbus: disk restore with a command queued or in progress")
-	}
-	d.stats = st.stats
-	d.store = make(map[uint32][]uint32, len(st.store))
-	for lba, words := range st.store {
-		d.store[lba] = append([]uint32(nil), words...)
-	}
-	return nil
-}
-
-// DiskState is an opaque snapshot of an idle disk controller: counters
-// plus the sparse sector store.
-type DiskState struct {
-	stats DiskStats
-	store map[uint32][]uint32
-}
-
 // Step advances the controller one cycle.
 func (d *Disk) Step() {
 	if d.cur != nil {
@@ -403,31 +362,6 @@ func (e *Ethernet) NextEvent(now sim.Cycle) sim.Cycle {
 
 // SkipCycles is a no-op: the controller keeps no per-cycle accounting.
 func (e *Ethernet) SkipCycles(uint64) {}
-
-// SaveState returns a copy of the controller's counters. Only an idle
-// controller can be saved: queued operations hold caller-owned
-// completion closures that cannot be duplicated.
-func (e *Ethernet) SaveState() (any, error) {
-	if e.Busy() {
-		return nil, fmt.Errorf("qbus: ethernet snapshot with an operation queued or in progress")
-	}
-	st := e.stats
-	return &st, nil
-}
-
-// RestoreState rewinds the controller to a previously saved state. The
-// controller must be idle.
-func (e *Ethernet) RestoreState(s any) error {
-	st, ok := s.(*EthernetStats)
-	if !ok {
-		return fmt.Errorf("qbus: ethernet restore from %T", s)
-	}
-	if e.Busy() {
-		return fmt.Errorf("qbus: ethernet restore with an operation queued or in progress")
-	}
-	e.stats = *st
-	return nil
-}
 
 // Step advances the controller one cycle.
 func (e *Ethernet) Step() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"firefly/internal/mbus"
+	"firefly/internal/sim"
 )
 
 // scriptedDMAInjector answers DMAWordFault by consultation index.
@@ -60,7 +61,7 @@ func TestInjectedNXMAbortsTransfer(t *testing.T) {
 	if got := b.m.Memory().Peek(0x100008); got != 0 {
 		t.Fatalf("post-abort word written: %d", got)
 	}
-	if !b.engine.idle() {
+	if b.engine.NextEvent(b.m.Clock().Now()) != sim.Never {
 		t.Fatal("engine not idle after NXM abort")
 	}
 }
@@ -151,7 +152,7 @@ func TestDMABusFaultExhaustionAborts(t *testing.T) {
 	if st.WordsMoved.Value() != 0 {
 		t.Fatalf("faulted transfer moved %d words", st.WordsMoved.Value())
 	}
-	if !b.engine.idle() {
+	if b.engine.NextEvent(b.m.Clock().Now()) != sim.Never {
 		t.Fatal("engine not idle after exhaustion abort")
 	}
 }
@@ -201,7 +202,7 @@ func TestBackToBackFaultedTransfers(t *testing.T) {
 			t.Fatalf("clean transfer word %d = %d, want %d", i, got, want)
 		}
 	}
-	if !b.engine.idle() {
+	if b.engine.NextEvent(b.m.Clock().Now()) != sim.Never {
 		t.Fatal("engine not idle after back-to-back faulted transfers")
 	}
 }

@@ -227,13 +227,6 @@ func (e *Engine) Stats() EngineStats {
 // Busy reports whether transfers are queued or in progress.
 func (e *Engine) Busy() bool { return e.cur != nil || len(e.queue) > 0 }
 
-// idle reports that the engine has no queued or current transfer and no
-// bus request pending or in flight, so further Steps are no-ops until a
-// new Submit (NextEvent reports sim.Never). Snapshots require it.
-func (e *Engine) idle() bool {
-	return e.cur == nil && len(e.queue) == 0 && !e.reqValid && !e.inFlight
-}
-
 // QueueLen returns the number of pending transfers (excluding the current).
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
@@ -423,45 +416,6 @@ func boolArg(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// EngineState is an opaque copy of the engine's snapshot-visible state.
-// Transfers hold caller-owned buffers and completion callbacks that a
-// snapshot cannot deep-copy, so the engine only snapshots while idle —
-// between transfers — capturing the issue pacing timer (which reaches
-// into the next transfer) and the statistics.
-type EngineState struct {
-	nextIssue sim.Cycle
-	stats     EngineStats
-}
-
-// SaveState returns the engine's snapshot state. It fails unless the
-// engine is idle (no queued or in-flight transfer): an in-flight
-// Transfer's Data and OnDone belong to the submitting device and cannot
-// be rewound.
-func (e *Engine) SaveState() (any, error) {
-	if !e.idle() {
-		return nil, fmt.Errorf("qbus: snapshot requires an idle DMA engine (transfer in progress)")
-	}
-	return &EngineState{nextIssue: e.nextIssue, stats: e.Stats()}, nil
-}
-
-// RestoreState rewinds an idle engine to a previously saved state.
-func (e *Engine) RestoreState(s any) error {
-	st, ok := s.(*EngineState)
-	if !ok {
-		return fmt.Errorf("qbus: RestoreState with foreign state %T", s)
-	}
-	if !e.idle() {
-		return fmt.Errorf("qbus: restore requires an idle DMA engine (transfer in progress)")
-	}
-	e.nextIssue = st.nextIssue
-	e.stats = st.stats
-	e.stats.PerDeviceWord = make(map[string]uint64, len(st.stats.PerDeviceWord))
-	for k, v := range st.stats.PerDeviceWord {
-		e.stats.PerDeviceWord[k] = v
-	}
-	return nil
 }
 
 func (e *Engine) finishCurrent(fault bool) {

@@ -6,6 +6,7 @@ import (
 	"firefly/internal/core"
 	"firefly/internal/machine"
 	"firefly/internal/mbus"
+	"firefly/internal/sim"
 )
 
 // bench builds a machine with halted CPUs plus the QBus DMA plumbing, so
@@ -231,7 +232,7 @@ func TestEngineMapFaultAborts(t *testing.T) {
 	if b.engine.Stats().MapFaults.Value() != 1 {
 		t.Fatal("map fault not counted")
 	}
-	if !b.engine.idle() {
+	if b.engine.NextEvent(b.m.Clock().Now()) != sim.Never {
 		t.Fatal("engine not idle after aborted transfer")
 	}
 }
