@@ -248,7 +248,7 @@ func main() {
 	arb := flag.String("arb", "fixed", "MBus arbitration policy: fixed, rr, fcfs (with -experiment policysweep: comma-separated axis restriction)")
 	sched := flag.String("sched", "", "kernel dispatch policy: averse, oldest, steal (default: workload's own; with -experiment policysweep: comma-separated axis restriction)")
 	experiment := flag.String("experiment", "", "run a named sweep experiment instead of a single machine (see cmd/tables -list)")
-	workers := flag.Int("workers", 0, "sweep worker goroutines for -experiment (0 = one per CPU; output is identical for any value)")
+	workers := flag.Int("workers", 0, "worker goroutines: the sweep workers of -experiment, and the phase-A workers that step member machines in -cluster and -traffic runs (0 = one per CPU; output is identical for any value)")
 	checkFlag := flag.Bool("check", false, "run the coherence checker alongside the workload (oracle + invariant walks)")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "bus=1e-4,mem=1e-4" or "all=1e-4" (keys: bus, timeout, mem, memunc, nxm, stall, tag, all, retries, backoff, stallcycles, hold, start, end, seed, addrmin, addrmax)`)
 	replay := flag.String("replay", "", "re-execute a coherence-checker replay file and report the outcome")
@@ -269,6 +269,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fireflysim: -%s %v: need a finite, non-negative duration\n", d.name, d.v)
 			os.Exit(2)
 		}
+	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "fireflysim: -workers %d: need 0 (one per CPU) or a positive count\n", *workers)
+		os.Exit(2)
 	}
 
 	if *verifyProto != "" {

@@ -73,6 +73,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-miss", "2"}, "fireflysim: trace: miss rate 2 out of [0,1]"},
 		{[]string{"-share", "-1"}, "fireflysim: trace: share fraction -1 out of [0,1]"},
 		{[]string{"-cluster", "-3"}, "fireflysim: -cluster -3: a cluster needs at least 2 machines"},
+		{[]string{"-cluster", "4", "-workers", "-3"}, "fireflysim: -workers -3: need 0 (one per CPU) or a positive count"},
 		{[]string{"-warmup", "0.0029", "-travel", "28999"}, "fireflysim: -travel 28999 is before the end of warmup at cycle 29000"},
 		{[]string{"-workload", "exerciser", "-travel", "5"}, `fireflysim: -travel only supports the synthetic workload (got "exerciser")`},
 		{[]string{"-check", "-travel", "30000"}, "fireflysim: -travel cannot be combined with -check"},

@@ -23,9 +23,12 @@
 //     machine independently through the cycles before it — optionally
 //     sharded across a bounded worker pool — then replays the wire
 //     serially through the same cycles, injecting each machine's
-//     captured sends at the cycles they were made. Because no wire
-//     event lands inside the window, the result is byte-identical to
-//     Step()ing, for any worker count.
+//     captured sends at the cycles they were made. The replay is
+//     event-driven: it steps the wire only on cycles where a send
+//     lands, the bridge releases, or a segment has an event, and
+//     bulk-skips the quiet cycles between. Because no wire event lands
+//     inside the window, the result is byte-identical to Step()ing, for
+//     any worker count.
 //
 // Determinism contract (see DESIGN.md, "Parallel cluster engine"):
 // fixed per-machine seeds, sends merged in station order at their
@@ -140,9 +143,10 @@ type member struct {
 	st   *net.Station
 	seg  int
 
-	// sends[cursor:] are captured but not yet injected. Appended by the
-	// member's own goroutine during a window, drained serially by the
-	// cluster at cycle boundaries; the two phases never overlap.
+	// sends[cursor:] are captured but not yet injected, in stamp order.
+	// Appended by the member's own goroutine during a window, drained
+	// serially by the cluster at cycle boundaries; the two phases never
+	// overlap.
 	sends  []capturedSend
 	cursor int
 }
@@ -184,6 +188,11 @@ type Cluster struct {
 	// (MaxAttempts-1)*SlotCycles) over the segments. It caps Run's
 	// window length so in-window sends stay invisible to the machines.
 	minVisible sim.Cycle
+	// nextSend is the earliest stamp of any captured send not yet
+	// injected, or Never. It is recomputed serially after every machine
+	// phase and every injection that moves a send — never from capture,
+	// which runs concurrently in phase A.
+	nextSend sim.Cycle
 }
 
 // New builds the cluster: machines, kernels, NICs, wires, and bridge.
@@ -195,7 +204,7 @@ func New(cfg Config) *Cluster {
 	if cfg.Segments < 1 || cfg.Segments > cfg.Machines {
 		panic(fmt.Sprintf("cluster: %d segments for %d machines", cfg.Segments, cfg.Machines))
 	}
-	c := &Cluster{cfg: cfg, clock: &sim.Clock{}, workers: cfg.Workers}
+	c := &Cluster{cfg: cfg, clock: &sim.Clock{}, workers: cfg.Workers, nextSend: sim.Never}
 	for k := 0; k < cfg.Segments; k++ {
 		ncfg := cfg.Net
 		if k > 0 {
@@ -305,8 +314,12 @@ func (c *Cluster) capture(mb *member, pkt qbus.Packet, done func(ok bool)) {
 
 // injectSends moves captured sends with stamp <= upTo into the members'
 // stations, in station order, oldest first — the order the old serial
-// loop produced them. Called only between machine phases.
+// loop produced them. Called only between machine phases; with nothing
+// due it returns after one compare against the nextSend cursor.
 func (c *Cluster) injectSends(upTo sim.Cycle) {
+	if upTo < c.nextSend {
+		return
+	}
 	for _, mb := range c.members {
 		for mb.cursor < len(mb.sends) && mb.sends[mb.cursor].stamp <= upTo {
 			s := &mb.sends[mb.cursor]
@@ -319,6 +332,19 @@ func (c *Cluster) injectSends(upTo sim.Cycle) {
 			mb.cursor = 0
 		}
 	}
+	c.updateNextSend()
+}
+
+// updateNextSend recomputes the nextSend cursor from each member's
+// oldest uninjected send. Serial only: it reads every member's buffer.
+func (c *Cluster) updateNextSend() {
+	ns := sim.Never
+	for _, mb := range c.members {
+		if mb.cursor < len(mb.sends) {
+			ns = sim.EarliestEvent(ns, mb.sends[mb.cursor].stamp)
+		}
+	}
+	c.nextSend = ns
 }
 
 // Clock returns the cluster clock (wire time).
@@ -380,6 +406,17 @@ func (c *Cluster) SetWorkers(n int) (prev int) {
 // finishing this cycle is deliverable before any machine's devices step
 // — then every machine, in station order.
 func (c *Cluster) Step() {
+	c.stepWire()
+	for _, mb := range c.members {
+		mb.m.Step()
+	}
+	c.updateNextSend()
+}
+
+// stepWire runs the wire half of one cluster cycle: tick the cluster
+// clock, inject the sends stamped before it, then step the bridge and
+// every segment.
+func (c *Cluster) stepWire() {
 	now := c.clock.Tick()
 	c.injectSends(now - 1)
 	if c.bridge != nil {
@@ -387,9 +424,6 @@ func (c *Cluster) Step() {
 	}
 	for _, s := range c.segs {
 		s.Step()
-	}
-	for _, mb := range c.members {
-		mb.m.Step()
 	}
 }
 
@@ -442,19 +476,24 @@ func (c *Cluster) Run(n uint64) {
 // round executes one window of w cycles: machines ahead (phase A), wire
 // replay behind (phase B). The horizon guarantees no segment or bridge
 // calls into a machine anywhere in the window, so the machines' head
-// start is unobservable.
+// start is unobservable. The replay steps the wire only on cycles with
+// a wire event and skips the quiet cycles between in bulk, so its cost
+// follows the window's sends and contention, not its length.
 func (c *Cluster) round(w uint64) {
 	c.window = w
 	sim.ParallelFor(c.workers, len(c.members), c.runMember)
-	for k := uint64(0); k < w; k++ {
-		now := c.clock.Tick()
-		c.injectSends(now - 1)
-		if c.bridge != nil {
-			c.bridge.Step()
+	c.updateNextSend()
+	end := c.clock.Now() + sim.Cycle(w)
+	for now := c.clock.Now(); now < end; now = c.clock.Now() {
+		ev := c.wireEvent(now)
+		if ev > end {
+			c.skipWire(uint64(end - now))
+			break
 		}
-		for _, s := range c.segs {
-			s.Step()
+		if ev > now+1 {
+			c.skipWire(uint64(ev - 1 - now))
 		}
+		c.stepWire()
 	}
 	// Sends stamped at the window's last cycle become wire-visible at
 	// the next cycle's segment step; stage them now so the quiescence
@@ -462,26 +501,38 @@ func (c *Cluster) round(w uint64) {
 	c.injectSends(c.clock.Now())
 }
 
+// wireEvent returns the earliest future cycle at which stepWire may
+// change wire state: a captured send reaching its station (the cycle
+// after its stamp), a bridge release, or a segment event. Every cycle
+// before it is quiet and skipWire may cover it.
+func (c *Cluster) wireEvent(now sim.Cycle) sim.Cycle {
+	ev := sim.Never
+	if c.nextSend != sim.Never {
+		ev = c.nextSend + 1
+	}
+	if c.bridge != nil {
+		ev = sim.EarliestEvent(ev, c.bridge.NextEvent(now))
+	}
+	for _, s := range c.segs {
+		ev = sim.EarliestEvent(ev, s.NextEvent(now))
+	}
+	return ev
+}
+
 // nextEvent returns the earliest future cycle at which any machine, the
 // wire, or a captured-but-uninjected send may change cluster state.
 func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
+	if c.nextSend != sim.Never {
+		return now + 1
+	}
 	ev := sim.Never
 	for _, mb := range c.members {
-		if mb.cursor < len(mb.sends) {
-			return now + 1
-		}
 		ev = sim.EarliestEvent(ev, mb.m.NextEvent(now))
 		if ev <= now+1 {
 			return ev
 		}
 	}
-	for _, s := range c.segs {
-		ev = sim.EarliestEvent(ev, s.NextEvent(now))
-	}
-	if c.bridge != nil {
-		ev = sim.EarliestEvent(ev, c.bridge.NextEvent(now))
-	}
-	return ev
+	return sim.EarliestEvent(ev, c.wireEvent(now))
 }
 
 // horizon returns the first future cycle at which the wire may call
@@ -492,11 +543,8 @@ func (c *Cluster) nextEvent(now sim.Cycle) sim.Cycle {
 // reach a station, which caps the window even on a silent wire.
 func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 	h := now + 2 + c.minVisible
-	for _, mb := range c.members {
-		if mb.cursor < len(mb.sends) {
-			h = now + 1 + c.minVisible
-			break
-		}
+	if c.nextSend != sim.Never {
+		h = now + 1 + c.minVisible
 	}
 	for _, s := range c.segs {
 		h = sim.EarliestEvent(h, s.EventHorizon(now))
@@ -507,17 +555,24 @@ func (c *Cluster) horizon(now sim.Cycle) sim.Cycle {
 	return h
 }
 
-// skip advances the cluster n cycles in bulk: the cluster clock, each
-// segment's busy accounting, and every machine (whose own clocks stay
-// in lockstep with the cluster clock). Valid only when nextEvent
-// reports nothing inside the window.
+// skip advances the cluster n cycles in bulk: the wire, then every
+// machine (whose own clocks stay in lockstep with the cluster clock).
+// Valid only when nextEvent reports nothing inside the window.
 func (c *Cluster) skip(n uint64) {
+	c.skipWire(n)
+	for _, mb := range c.members {
+		mb.m.SkipCycles(n)
+	}
+}
+
+// skipWire advances the wire n cycles in bulk: the cluster clock and
+// each segment's per-cycle accounting. Valid only when wireEvent
+// reports nothing inside the span; it is the one bulk path for the
+// wire, used by skip and by round's replay.
+func (c *Cluster) skipWire(n uint64) {
 	c.clock.Advance(sim.Cycle(n))
 	for _, s := range c.segs {
 		s.SkipCycles(n)
-	}
-	for _, mb := range c.members {
-		mb.m.SkipCycles(n)
 	}
 }
 

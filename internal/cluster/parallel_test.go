@@ -120,12 +120,20 @@ func TestRunUntilBigStepDifferential(t *testing.T) {
 
 // engineResult captures everything one engine variant produced: the
 // rendered per-machine reports, a per-machine field hash of the full
-// trace streams, and the raw JSONL of every segment's event stream.
+// trace streams, the raw JSONL of every segment's event stream, and the
+// wire counters summed over segments and the bridge.
 type engineResult struct {
 	report   string
 	hashes   []uint64
 	events   []uint64
 	segJSONL [][]byte
+	wire     wireTotals
+}
+
+// wireTotals sums the wire-event counters of every segment plus the
+// bridge's forwards: the event kinds the wire replay must reproduce.
+type wireTotals struct {
+	collisions, deferrals, aborted, forwarded uint64
 }
 
 // runEngine builds a cluster, attaches one trace observer per machine
@@ -192,6 +200,15 @@ func runEngine(t *testing.T, cfg Config, setup func(*Cluster), cycles uint64, en
 	}
 	fmt.Fprintf(&b, "latency %.3f us, cycles %d\n", cl.Node(0).MeanLatencyUS(), cl.Clock().Now())
 	res := engineResult{report: b.String()}
+	for k := 0; k < cl.NumSegments(); k++ {
+		st := cl.SegmentAt(k).Stats()
+		res.wire.collisions += st.Collisions.Value()
+		res.wire.deferrals += st.Deferrals.Value()
+		res.wire.aborted += st.Aborted.Value()
+	}
+	if br := cl.Bridge(); br != nil {
+		res.wire.forwarded = br.Stats().Forwarded.Value()
+	}
 	for _, s := range sinks {
 		res.hashes = append(res.hashes, s.h.Sum64())
 		res.events = append(res.events, s.events)
@@ -363,5 +380,56 @@ func TestMultiSegmentParallelDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
 		diffEngines(t, fmt.Sprintf("bridged workers=%d", workers), ref, got)
+	}
+}
+
+// TestReplayDifferentialContention drives the event-driven wire replay
+// through every wire-event kind it skips between: eight machines on two
+// bridged segments, a store-and-forward latency, and callers on five
+// stations aimed at servers on both wires, with MaxAttempts low enough
+// that collision storms abort frames. The reference must show
+// collisions, deferrals, aborts, and bridge forwards — otherwise the
+// differential could pass without exercising the skips around them.
+func TestReplayDifferentialContention(t *testing.T) {
+	node := quickNode()
+	node.RetransmitCycles = 6_000
+	ncfg := fastNet(41)
+	ncfg.MaxAttempts = 3
+	cfg := Config{
+		Machines: 8,
+		Segments: 2,
+		Bridge:   net.BridgeConfig{ForwardCycles: 40},
+		Node:     node,
+		Net:      ncfg,
+		Seed:     41,
+	}
+	setup := func(cl *Cluster) {
+		cl.Node(3).StartServer()
+		cl.Node(7).StartServer()
+		cl.Node(0).StartCallers(2, 7, 64)
+		cl.Node(1).StartCallers(2, 3, 64)
+		cl.Node(2).StartCallers(2, 7, 64)
+		cl.Node(4).StartCallers(2, 3, 64)
+		cl.Node(5).StartCallers(2, 7, 64)
+	}
+	const cycles = 300_000
+	ref := runEngine(t, cfg, setup, cycles, "step", 1, false)
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"collisions", ref.wire.collisions},
+		{"deferrals", ref.wire.deferrals},
+		{"aborted frames", ref.wire.aborted},
+		{"bridge forwards", ref.wire.forwarded},
+	} {
+		if c.v == 0 {
+			t.Fatalf("reference run saw no %s; the differential would not exercise them", c.name)
+		}
+	}
+	t.Logf("reference wire events: %+v", ref.wire)
+	for _, workers := range []int{1, 2, 8} {
+		got := runEngine(t, cfg, setup, cycles, "run", workers, false)
+		diffEngines(t, fmt.Sprintf("contention workers=%d", workers), ref, got)
 	}
 }

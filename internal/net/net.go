@@ -334,8 +334,12 @@ func (s *Segment) EventHorizon(now sim.Cycle) sim.Cycle {
 
 // SkipCycles credits n skipped cycles of wire activity: the per-cycle
 // accounting Step would have done had it been called n times with the
-// wire in its current state. Only valid over a window in which no
-// station Sends (the cluster skips only when every machine is idle).
+// wire in its current state — BusyCycles for a frame in flight and the
+// carrier-sense deferral marks of the stations waiting on it. It is
+// valid over any span that ends before NextEvent(now) and in which no
+// station Sends, including a span with a frame in flight and deferring
+// stations: nothing in the segment changes state there but those
+// per-cycle quantities. The caller advances the clock.
 func (s *Segment) SkipCycles(n uint64) {
 	if s.cur == nil {
 		return

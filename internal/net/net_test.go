@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"firefly/internal/obs"
@@ -237,5 +238,129 @@ func TestUtilizationAndIdle(t *testing.T) {
 	// 3200 busy cycles out of 4000.
 	if u < 0.7 || u > 0.9 {
 		t.Fatalf("utilization = %.2f, want ~0.8", u)
+	}
+}
+
+// scheduledSend is one frame a station hands the wire at a given cycle.
+type scheduledSend struct {
+	at       sim.Cycle
+	src, dst int
+	words    int
+}
+
+// skipRun drives one segment through a fixed send schedule for the
+// given number of cycles and returns its stats, its JSONL event stream,
+// a log of every delivery and completion, and the cycles it skipped.
+// With skip set it bulk-advances over quiet cycles the way the cluster's
+// wire replay does: SkipCycles up to one cycle before the next segment
+// event or scheduled send, then one Step on that cycle. overshoot moves
+// every skip that many cycles further, past the event it must stop
+// before — the broken variant the test must catch.
+func skipRun(sched []scheduledSend, cycles sim.Cycle, skip bool, overshoot sim.Cycle) (Stats, []byte, string, uint64) {
+	clock := &sim.Clock{}
+	seg := NewSegment(clock, Config{WordCycles: 4, GapCycles: 8, SlotCycles: 16, MaxAttempts: 3, Seed: 11})
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	seg.SetTracer(obs.NewTracer(sink))
+	var log bytes.Buffer
+	const stations = 5
+	for i := 0; i < stations; i++ {
+		i := i
+		seg.Attach(func(f Frame) { fmt.Fprintf(&log, "%d rx %d<-%d\n", clock.Now(), i, f.Src) })
+	}
+	next := 0
+	var skipped uint64
+	for clock.Now() < cycles {
+		now := clock.Now()
+		if skip {
+			ev := seg.NextEvent(now)
+			if next < len(sched) {
+				ev = sim.EarliestEvent(ev, sched[next].at)
+			}
+			if ev > now+1 {
+				target := ev - 1 + overshoot
+				if target > cycles {
+					target = cycles
+				}
+				clock.Advance(target - now)
+				seg.SkipCycles(uint64(target - now))
+				skipped += uint64(target - now)
+				continue
+			}
+		}
+		now = clock.Tick()
+		for ; next < len(sched) && sched[next].at <= now; next++ {
+			s := sched[next]
+			seg.Station(s.src).Send(Frame{Dst: s.dst, Words: make([]uint32, s.words)}, func(ok bool) {
+				fmt.Fprintf(&log, "%d done %d ok=%v\n", clock.Now(), s.src, ok)
+			})
+		}
+		seg.Step()
+	}
+	sink.Close()
+	return seg.Stats(), buf.Bytes(), log.String(), skipped
+}
+
+// TestSkipCyclesMatchesStep pins the SkipCycles contract the cluster's
+// event-driven wire replay relies on: a segment that skips every quiet
+// stretch to one cycle before NextEvent (or the next Send) matches one
+// stepped cycle by cycle — counters, event stream, and call-out log —
+// under random traffic with collisions, MaxAttempts aborts, deferrals,
+// and broadcast. Skipping one cycle too far must diverge.
+func TestSkipCyclesMatchesStep(t *testing.T) {
+	rng := sim.NewRand(23)
+	var sched []scheduledSend
+	at := sim.Cycle(1)
+	for len(sched) < 600 {
+		at += sim.Cycle(rng.Intn(40))
+		// Bursts of simultaneous sends from distinct stations collide.
+		burst := 1 + rng.Intn(3)
+		for b := 0; b < burst; b++ {
+			src := (b*2 + rng.Intn(2)) % 5
+			dst := (src + 1 + rng.Intn(4)) % 5
+			if rng.Intn(6) == 0 {
+				dst = Broadcast
+			}
+			sched = append(sched, scheduledSend{at: at, src: src, dst: dst, words: 1 + rng.Intn(6)})
+		}
+	}
+	cycles := at + 5_000
+
+	refStats, refJSONL, refLog, _ := skipRun(sched, cycles, false, 0)
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"collisions", refStats.Collisions.Value()},
+		{"aborted", refStats.Aborted.Value()},
+		{"deferrals", refStats.Deferrals.Value()},
+		{"delivered", refStats.Delivered.Value()},
+	} {
+		if c.v == 0 {
+			t.Fatalf("reference run saw no %s; the comparison proves nothing", c.name)
+		}
+	}
+	if refStats.Delivered.Value() <= refStats.Frames.Value() {
+		t.Fatal("reference run delivered no broadcast frame")
+	}
+
+	gotStats, gotJSONL, gotLog, skipped := skipRun(sched, cycles, true, 0)
+	if skipped == 0 {
+		t.Fatal("skipping run skipped nothing")
+	}
+	if fmt.Sprintf("%+v", gotStats) != fmt.Sprintf("%+v", refStats) {
+		t.Errorf("stats diverged:\nskip %+v\nstep %+v", gotStats, refStats)
+	}
+	if !bytes.Equal(gotJSONL, refJSONL) {
+		t.Errorf("JSONL diverged (%d vs %d bytes)", len(gotJSONL), len(refJSONL))
+	}
+	if gotLog != refLog {
+		t.Error("delivery/completion log diverged")
+	}
+
+	badStats, badJSONL, badLog, _ := skipRun(sched, cycles, true, 1)
+	if fmt.Sprintf("%+v", badStats) == fmt.Sprintf("%+v", refStats) &&
+		bytes.Equal(badJSONL, refJSONL) && badLog == refLog {
+		t.Fatal("skipping one cycle past NextEvent went undetected")
 	}
 }
