@@ -107,15 +107,6 @@ func BenchmarkCVAXSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkRPCThroughput measures the §6 RPC bandwidth knee (X-rpc).
-func BenchmarkRPCThroughput(b *testing.B) {
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		mbps = rpc.Run(rpc.Config{}, 3, 0.5).Mbps
-	}
-	b.ReportMetric(mbps, "Mbit/s@3threads")
-}
-
 // BenchmarkQBusLoad measures DMA bandwidth consumption (X-qbus).
 func BenchmarkQBusLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -74,6 +74,13 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-share", "-1"}, "fireflysim: trace: share fraction -1 out of [0,1]"},
 		{[]string{"-cluster", "-3"}, "fireflysim: -cluster -3: a cluster needs at least 2 machines"},
 		{[]string{"-cluster", "4", "-workers", "-3"}, "fireflysim: -workers -3: need 0 (one per CPU) or a positive count"},
+		{[]string{"-cluster", "4", "-traffic", "bogus"}, `fireflysim: traffic: "bogus" is not key=value`},
+		{[]string{"-cluster", "4", "-traffic", "rate=-1"}, "fireflysim: traffic: rate -1 out of range (need 0 < rate <= 1e9)"},
+		{[]string{"-cluster", "4", "-faults", "nonsense"}, `fireflysim: fault: "nonsense" is not key=value`},
+		{[]string{"-cluster", "4", "-faults", "drop=2"}, "fireflysim: fault: net frame-drop rate 2 outside [0,1]"},
+		{[]string{"-cluster", "4", "-segments", "0"}, "fireflysim: -segments 0: need between 1 and 4 segments"},
+		{[]string{"-cluster", "4", "-segments", "9"}, "fireflysim: -segments 9: need between 1 and 4 segments"},
+		{[]string{"-cluster", "4", "-callers", "0"}, "fireflysim: -callers 0: need at least 1 caller thread"},
 		{[]string{"-warmup", "0.0029", "-travel", "28999"}, "fireflysim: -travel 28999 is before the end of warmup at cycle 29000"},
 		{[]string{"-workload", "exerciser", "-travel", "5"}, `fireflysim: -travel only supports the synthetic workload (got "exerciser")`},
 		{[]string{"-check", "-travel", "30000"}, "fireflysim: -travel cannot be combined with -check"},

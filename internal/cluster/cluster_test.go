@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"math"
 	"strings"
 	"testing"
 
@@ -195,33 +194,57 @@ func TestClusterDeterministicSoak(t *testing.T) {
 }
 
 // TestDifferentialVsAnalytic holds the cycle-level cluster against the
-// analytic transport pipeline: same stage costs, so sustained bandwidth
-// must agree within 15% at every §6 thread count. At three threads the
-// simulated wire must also clear the paper's 4.6 Mbit/s plateau
-// (acceptance floor: 4.0).
+// closed-network bound of the same transport (rpc.Config.Bound): same
+// stage costs, so at every §6 thread count the sustained bandwidth must
+// sit at or below the bound — a cluster that beats an asymptotic bound
+// means a stage cost has drifted — and within 15% of it. At three
+// threads the simulated wire must also clear the paper's 4.6 Mbit/s
+// plateau (acceptance floor: 4.0). The bound has no queueing in it, so
+// the sweep runs on to six and eight threads for the checks that need
+// queueing to be real: the saturated server stage, the raw 1-thread
+// RTT, and latency growing with the number of callers.
 func TestDifferentialVsAnalytic(t *testing.T) {
 	const secs = 0.5
-	for _, threads := range []int{1, 2, 3, 4} {
+	latency := map[int]float64{}
+	for _, threads := range []int{1, 2, 3, 4, 6, 8} {
 		cl := New(Config{Seed: 5})
 		cl.Node(1).StartServer()
 		cl.Node(0).StartCallers(threads, 1, 0)
 		cl.RunSeconds(secs)
-		cli := cl.Node(0).Stats()
+		cli, srv := cl.Node(0).Stats(), cl.Node(1).Stats()
 		got := float64(cli.BytesMoved.Value()) * 8 / secs / 1e6
-		want := rpc.Run(rpc.Config{}, threads, secs).Mbps
-		diff := math.Abs(got-want) / want
-		t.Logf("threads=%d cluster=%.2f analytic=%.2f Mbit/s (%.1f%% apart)",
-			threads, got, want, diff*100)
+		want := rpc.Config{}.Bound(threads).Mbps
+		diff := (want - got) / want
+		latency[threads] = cl.Node(0).MeanLatencyUS()
+		serverUtil := float64(srv.ServiceCycles.Value()) / float64(cl.Clock().Now())
+		t.Logf("threads=%d cluster=%.2f bound=%.2f Mbit/s (%+.1f%%) latency=%.0f µs server=%.2f wire=%.2f",
+			threads, got, want, -diff*100, latency[threads], serverUtil, cl.Segment().Utilization())
+		if got > want {
+			t.Errorf("threads=%d: cluster %.2f Mbit/s beats the bound %.2f", threads, got, want)
+		}
 		if diff > 0.15 {
-			t.Errorf("threads=%d: cluster %.2f vs analytic %.2f Mbit/s, %.1f%% apart (limit 15%%)",
+			t.Errorf("threads=%d: cluster %.2f vs bound %.2f Mbit/s, %.1f%% apart (limit 15%%)",
 				threads, got, want, diff*100)
 		}
 		if threads == 3 && got < 4.0 {
 			t.Errorf("3-thread bandwidth %.2f Mbit/s below the 4 Mbit/s §6 floor", got)
 		}
+		if threads == 6 && serverUtil <= cl.Segment().Utilization() {
+			t.Errorf("6 threads: server utilization %.2f not above wire %.2f — the server stage must saturate first",
+				serverUtil, cl.Segment().Utilization())
+		}
 		if r := cli.Retransmits.Value(); r != 0 {
 			t.Errorf("threads=%d: %d spurious retransmits on a clean wire", threads, r)
 		}
+	}
+	// Single-thread latency is the raw RTT: ~4 ms for a 1 KB call on
+	// this calibration.
+	if one := latency[1]; one < 3000 || one > 6000 {
+		t.Errorf("1-thread RTT = %.0f µs, want 3-6 ms", one)
+	}
+	if latency[8] <= latency[1] {
+		t.Errorf("latency did not grow with queueing: %.0f µs at 1 thread vs %.0f at 8",
+			latency[1], latency[8])
 	}
 }
 

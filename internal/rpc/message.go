@@ -1,9 +1,10 @@
 // Package rpc models Topaz remote procedure call (§4.1): the uniform
 // communication mechanism of the Firefly world. It provides real message
-// marshalling (the bytes that would cross the wire) and a discrete-event
-// transport pipeline — client marshal, Ethernet transmission, server
-// processing, reply — whose stage costs are calibrated to the MicroVAX
-// Firefly. The headline reproduction target is §6: "our RPC data transfer
+// marshalling (the bytes that would cross the wire), the cycle-level
+// runtime that drives it over the simulated Ethernet, and the closed-form
+// throughput bound of the same transport — client marshal, Ethernet
+// transmission, server processing, reply — whose stage costs are
+// calibrated to the MicroVAX Firefly. The headline reproduction target is §6: "our RPC data transfer
 // protocol, with multiple outstanding calls, achieves very high
 // performance. The remote server can sustain a bandwidth of 4.6 megabits
 // per second using an average of three concurrent threads."

@@ -148,10 +148,10 @@ func parseFrag(words []uint32) (frag, error) {
 
 // NodeConfig tunes one machine's RPC runtime.
 type NodeConfig struct {
-	// Costs carries the stage costs of the analytic pipeline; the runtime
-	// charges the same client and server cycles, so the cycle-level
-	// cluster and transport.Run stay mutually calibrated (the
-	// differential test holds them within 15%).
+	// Costs carries the transport's stage costs; the runtime charges the
+	// same client and server cycles that Config.Bound sums, so the
+	// cycle-level cluster and the bound stay mutually calibrated (the
+	// differential test holds the cluster within 15% below it).
 	Costs Config
 	// Workers is the server worker-thread pool size (default 4).
 	Workers int
@@ -894,8 +894,8 @@ func (n *Node) recordCompleted(c *call) {
 // StartServer forks the worker pool. Each worker polls the dispatch
 // queue and processes calls inside the per-connection station (the
 // transfer protocol's in-order server stage), so service is serialized
-// exactly like the analytic pipeline's server station however many
-// workers overlap the waiting.
+// exactly like the server station of Config.Bound however many workers
+// overlap the waiting.
 func (n *Node) StartServer() {
 	for w := 0; w < n.cfg.Workers; w++ {
 		n.k.Fork(n.workerProgram(), topaz.ThreadSpec{

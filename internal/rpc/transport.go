@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"firefly/internal/sim"
-	"firefly/internal/stats"
 )
 
 // Config calibrates the transport pipeline. Durations are in MBus cycles
@@ -88,155 +87,53 @@ func (c Config) ServerServiceCycles(payloadBytes int) uint64 {
 	return c.ServerFixedCycles + c.ServerPerByteCentiCycles*uint64(payloadBytes)/100
 }
 
-// station is a FIFO server: one request at a time, queued in arrival
-// order.
-type station struct {
-	name      string
-	q         *sim.EventQueue
-	busyUntil sim.Cycle
-	busyTime  uint64
-	served    stats.Counter
-}
-
-// acquire schedules fn after the station has served this request for
-// duration cycles, FIFO behind earlier requests.
-func (s *station) acquire(duration uint64, fn func()) {
-	start := s.q.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	end := start + sim.Cycle(duration)
-	s.busyUntil = end
-	s.busyTime += duration
-	s.served.Inc()
-	s.q.At(end, fn)
-}
-
-// utilization returns the fraction of elapsed time the station was busy.
-func (s *station) utilization(elapsed sim.Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(s.busyTime) / float64(uint64(elapsed))
-}
-
-// Result summarizes one transport run.
-type Result struct {
+// Bound is the asymptotic throughput bound of the closed transport
+// network at a fixed population of client threads: each thread cycles
+// client → wire → server → wire → client, and each of the three
+// stations serves one call at a time. With R0 the sum of the station
+// demands (the unloaded round trip) and Dmax the largest demand,
+// throughput is X(N) = min(N/R0, 1/Dmax) — bounded by the population
+// below the knee N* = R0/Dmax and by the bottleneck station above it.
+type Bound struct {
 	Threads       int
-	SimSeconds    float64
-	Calls         uint64
-	BytesMoved    uint64
-	Mbps          float64 // payload megabits per second sustained
-	MeanLatencyUS float64 // mean per-call latency in microseconds
-	P50US         float64 // median per-call latency (log-bucket upper bound)
-	P95US         float64
-	P99US         float64
+	Mbps          float64 // payload megabits per second
+	MeanLatencyUS float64 // per-call latency N/X, by Little's law
+	Knee          float64 // thread count N* = R0/Dmax where the bottleneck saturates
+	ClientUtil    float64 // X·D per station
 	WireUtil      float64
 	ServerUtil    float64
-	ClientUtil    float64
-	MarshalledOK  uint64 // messages that survived the marshal round trip
-	MarshalledBad uint64 // must be zero
 }
 
-// Run drives the transport with the given number of client threads
-// (outstanding calls) for the given simulated time.
-func Run(cfg Config, threads int, seconds float64) Result {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+// Bound evaluates the asymptotic bound at the given number of client
+// threads (outstanding calls). It panics on threads < 1 or an invalid
+// configuration.
+func (c Config) Bound(threads int) Bound {
+	c = c.withDefaults()
+	if err := c.Validate(); err != nil {
 		panic(err)
 	}
 	if threads < 1 {
 		panic("rpc: need at least one client thread")
 	}
-	clock := &sim.Clock{}
-	q := sim.NewEventQueue(clock)
-	client := &station{name: "client", q: q}
-	wire := &station{name: "wire", q: q}
-	server := &station{name: "server", q: q}
+	perByte := func(centi uint64) uint64 { return centi * uint64(c.PayloadBytes) / 100 }
+	call := &Message{Kind: Call, Payload: make([]byte, c.PayloadBytes)}
+	// At 10 Mbit/s one bit takes exactly one 100 ns cycle.
+	client := float64(c.ClientFixedCycles + perByte(c.ClientPerByteCentiCycles) + c.ClientFinishCycles)
+	wire := float64(c.WireFixedCycles + call.WireBits() + c.ReplyWireCycles)
+	server := float64(c.ServerServiceCycles(c.PayloadBytes))
 
-	deadline := sim.Cycle(seconds * 1e9 / sim.CycleNS)
-	res := Result{Threads: threads, SimSeconds: seconds}
-	var latencySum uint64
-	var latencies stats.LogHist
-	var nextID uint32
-
-	payload := make([]byte, cfg.PayloadBytes)
-	for i := range payload {
-		payload[i] = byte(i * 31)
+	r0 := client + wire + server
+	dmax := max(client, wire, server)
+	n := float64(threads)
+	x := min(n/r0, 1/dmax) // calls per cycle
+	cyclesPerSec := 1e9 / sim.CycleNS
+	return Bound{
+		Threads:       threads,
+		Mbps:          x * cyclesPerSec * float64(c.PayloadBytes) * 8 / 1e6,
+		MeanLatencyUS: n / x * sim.CycleNS / 1000,
+		Knee:          r0 / dmax,
+		ClientUtil:    x * client,
+		WireUtil:      x * wire,
+		ServerUtil:    x * server,
 	}
-
-	perByte := func(centi uint64) uint64 {
-		return centi * uint64(cfg.PayloadBytes) / 100
-	}
-
-	var issue func()
-	issue = func() {
-		started := q.Now()
-		if started >= deadline {
-			return
-		}
-		nextID++
-		msg := &Message{Kind: Call, ID: nextID, Proc: 7, Payload: payload}
-		buf, err := msg.Marshal()
-		if err != nil {
-			panic(err)
-		}
-		// At 10 Mbit/s one bit takes exactly one 100 ns cycle.
-		wireCycles := cfg.WireFixedCycles + msg.WireBits()
-
-		client.acquire(cfg.ClientFixedCycles+perByte(cfg.ClientPerByteCentiCycles), func() {
-			wire.acquire(wireCycles, func() {
-				// The server unmarshals the actual bytes; a failure here
-				// is a transport bug, counted loudly.
-				if got, err := Unmarshal(buf); err != nil || got.ID != msg.ID || len(got.Payload) != len(payload) {
-					res.MarshalledBad++
-				} else {
-					res.MarshalledOK++
-				}
-				server.acquire(cfg.ServerFixedCycles+perByte(cfg.ServerPerByteCentiCycles), func() {
-					wire.acquire(cfg.ReplyWireCycles, func() {
-						client.acquire(cfg.ClientFinishCycles, func() {
-							res.Calls++
-							res.BytesMoved += uint64(cfg.PayloadBytes)
-							latencySum += uint64(q.Now() - started)
-							latencies.Observe(uint64(q.Now() - started))
-							issue()
-						})
-					})
-				})
-			})
-		})
-	}
-
-	for i := 0; i < threads; i++ {
-		issue()
-	}
-	q.RunUntil(deadline)
-
-	elapsed := clock.Now()
-	// A zero-length or call-free run must report zeros, not NaN: with
-	// elapsed == 0 the Mbps division is 0/0, and every percentile of an
-	// empty histogram is defined as 0.
-	if elapsed > 0 {
-		res.Mbps = float64(res.BytesMoved*8) / (float64(elapsed.NS()) * 1e-9) / 1e6
-	}
-	if res.Calls > 0 {
-		res.MeanLatencyUS = float64(latencySum) / float64(res.Calls) * 0.1
-	}
-	res.P50US = CyclesToUS(latencies.Percentile(0.50))
-	res.P95US = CyclesToUS(latencies.Percentile(0.95))
-	res.P99US = CyclesToUS(latencies.Percentile(0.99))
-	res.WireUtil = wire.utilization(elapsed)
-	res.ServerUtil = server.utilization(elapsed)
-	res.ClientUtil = client.utilization(elapsed)
-	return res
-}
-
-// Sweep runs the transport at each thread count.
-func Sweep(cfg Config, threadCounts []int, seconds float64) []Result {
-	out := make([]Result, len(threadCounts))
-	for i, n := range threadCounts {
-		out[i] = Run(cfg, n, seconds)
-	}
-	return out
 }

@@ -1,9 +1,8 @@
 // Package sim provides the simulation substrate shared by every Firefly
-// subsystem: a cycle clock in MBus cycles (100 ns), a deterministic
-// pseudo-random source, the worker pool that runs independent machines
-// side by side, and a small discrete-event queue for the analytic RPC
-// transport model (rpc.Run), which works in simulated time rather than
-// bus cycles.
+// subsystem: the one notion of simulated time, a cycle clock in MBus
+// cycles (100 ns) with the Never/EarliestEvent fold for NextEvent scans,
+// a deterministic pseudo-random source, and the worker pool that runs
+// independent machines side by side.
 package sim
 
 import (

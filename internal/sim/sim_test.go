@@ -144,97 +144,6 @@ func TestRandUniformity(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	var order []int
-	q.At(30, func() { order = append(order, 3) })
-	q.At(10, func() { order = append(order, 1) })
-	q.At(20, func() { order = append(order, 2) })
-	q.RunUntil(30)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("event order = %v", order)
-	}
-	if clock.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", clock.Now())
-	}
-}
-
-func TestEventQueueFIFOTieBreak(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.At(5, func() { order = append(order, i) })
-	}
-	q.RunUntil(5)
-	if len(order) != 10 {
-		t.Fatalf("fired %d of 10 same-time events", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events fired out of order: %v", order)
-		}
-	}
-}
-
-func TestEventQueuePastPanics(t *testing.T) {
-	var clock Clock
-	clock.Advance(100)
-	q := NewEventQueue(&clock)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	q.At(50, func() {})
-}
-
-func TestEventQueueRunUntil(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	count := 0
-	q.At(10, func() { count++ })
-	q.At(20, func() {
-		count++
-		q.At(q.Now()+5, func() { count++ }) // lands at 25, inside deadline
-	})
-	q.At(100, func() { count++ }) // beyond deadline
-	fired := q.RunUntil(50)
-	if fired != 3 || count != 3 {
-		t.Fatalf("fired=%d count=%d, want 3,3", fired, count)
-	}
-	if clock.Now() != 50 {
-		t.Fatalf("clock = %v, want 50 after RunUntil", clock.Now())
-	}
-	// The event beyond the first deadline stayed queued for the next run.
-	if fired := q.RunUntil(100); fired != 1 || count != 4 {
-		t.Fatalf("second run fired=%d count=%d, want 1,4", fired, count)
-	}
-}
-
-func TestEventQueueReschedulingChain(t *testing.T) {
-	var clock Clock
-	q := NewEventQueue(&clock)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 100 {
-			q.At(q.Now()+2, tick)
-		}
-	}
-	q.At(2, tick)
-	q.RunUntil(1000)
-	if count != 100 {
-		t.Fatalf("chain fired %d times, want 100", count)
-	}
-	if clock.Now() != 1000 {
-		t.Fatalf("clock = %v, want 1000", clock.Now())
-	}
-}
-
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		for _, n := range []int{0, 1, 7, 100} {
