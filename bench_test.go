@@ -232,6 +232,18 @@ func BenchmarkMachineCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineRun measures the same loaded 5-CPU machine through its
+// event loop: Run(b.N), so ns/op is the effective cost of one simulated
+// cycle when only the due processors are stepped. BenchmarkMachineCycle
+// times the per-cycle reference path instead and does not show this.
+func BenchmarkMachineRun(b *testing.B) {
+	m := machine.New(machine.MicroVAXConfig(5))
+	m.AttachSyntheticLoad(firefly.SyntheticLoad{MissRate: 0.2, ShareFraction: 0.1, SharedReadFraction: 0.05})
+	m.Warmup(10_000)
+	b.ResetTimer()
+	m.Run(uint64(b.N))
+}
+
 // BenchmarkMachineCycleTraced is the same machine with tracing enabled
 // into a ring buffer — the upper bound a live capture costs.
 func BenchmarkMachineCycleTraced(b *testing.B) {

@@ -65,6 +65,15 @@ type puppet struct {
 	reqs []mbus.Request
 	pos  int
 	wait bool
+	line mbus.RequestLine
+}
+
+func (p *puppet) SetRequestLine(l mbus.RequestLine) { p.line = l }
+
+// publish asserts the request line exactly while BusRequest reports one.
+func (p *puppet) publish() {
+	_, ok := p.BusRequest()
+	p.line.Set(ok)
 }
 
 func (p *puppet) BusRequest() (mbus.Request, bool) {
@@ -73,10 +82,14 @@ func (p *puppet) BusRequest() (mbus.Request, bool) {
 	}
 	return p.reqs[p.pos], true
 }
-func (p *puppet) BusGrant() { p.wait = true }
+func (p *puppet) BusGrant() {
+	p.wait = true
+	p.publish()
+}
 func (p *puppet) BusComplete(mbus.Result) {
 	p.wait = false
 	p.pos++
+	p.publish()
 }
 
 // FuzzBusOps interleaves raw MRead/MWrite bus operations (the QBus DMA
@@ -153,6 +166,7 @@ func FuzzBusOps(f *testing.F) {
 			}
 		}
 
+		pup.publish()
 		heads := make([]int, nCaches)
 		for cyc := 0; cyc < 20000; cyc++ {
 			clock.Tick()

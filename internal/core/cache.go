@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"firefly/internal/mbus"
 	"firefly/internal/obs"
@@ -139,7 +140,8 @@ type Cache struct {
 	// per-write-hit decisions inline into the cache controller.
 	isFirefly bool
 	lines     int
-	lineWords int // longwords per line (1 on the real Firefly)
+	lineWords int  // longwords per line (1 on the real Firefly)
+	lineShift uint // log2(lineWords): the set index is a shift, not a divide
 
 	tags   []mbus.Addr // line base address; meaningful when state != Invalid
 	states []State
@@ -162,9 +164,11 @@ type Cache struct {
 	fillPoisoned bool
 	victimBase   mbus.Addr
 
-	// pending bus request
+	// pending bus request; line publishes reqValid to the bus's request
+	// word (setReq keeps the two in step)
 	reqValid bool
 	req      mbus.Request
+	line     mbus.RequestLine
 
 	// fault recovery
 	faults       FaultPolicy
@@ -184,6 +188,12 @@ type Cache struct {
 	// Busy reports true through that cycle so the processor charges the
 	// full bus-operation time (the model's N ticks per MBus operation).
 	doneAt sim.Cycle
+	// onDone, when set, is told the first cycle at which a stalled access
+	// no longer holds the processor: doneAt+1 when a bus-borne access
+	// finishes, or the current cycle when a deferred access turns out to
+	// hit. It lets the owning processor sleep through the stall instead of
+	// polling Busy every tick.
+	onDone func(at sim.Cycle)
 
 	// tracer is the observability stream (nil = disabled); unit is this
 	// cache's processor index in emitted events.
@@ -222,6 +232,7 @@ func NewCacheGeometry(clock *sim.Clock, proto Protocol, lines, lineWords int) *C
 		isFirefly: isFirefly,
 		lines:     lines,
 		lineWords: lineWords,
+		lineShift: uint(bits.TrailingZeros(uint(lineWords))),
 		tags:      make([]mbus.Addr, lines),
 		states:    make([]State, lines),
 		data:      make([]uint32, lines*lineWords),
@@ -336,7 +347,7 @@ func (c *Cache) lineBase(addr mbus.Addr) mbus.Addr {
 }
 
 func (c *Cache) index(addr mbus.Addr) int {
-	return (int(uint32(addr)>>2) / c.lineWords) & (c.lines - 1)
+	return int(uint32(addr)>>(2+c.lineShift)) & (c.lines - 1)
 }
 
 // wordOff returns addr's longword offset within its line.
@@ -420,10 +431,25 @@ func (c *Cache) ValidLines() int {
 	return n
 }
 
+// SetCompletionHook installs the callback told when a stalled access
+// stops holding the processor (see onDone). The processor binds it once
+// at construction.
+func (c *Cache) SetCompletionHook(fn func(at sim.Cycle)) { c.onDone = fn }
+
 // Busy reports whether a CPU access is still in progress. An access that
 // needed the bus remains busy through its completion cycle.
 func (c *Cache) Busy() bool {
 	return c.phase != seqIdle || (c.doneAt != 0 && c.clock.Now() <= c.doneAt)
+}
+
+// ReleaseAt returns the first cycle at which Busy reports false for good:
+// the cycle after the last completion, or sim.Never while an access is
+// still in progress.
+func (c *Cache) ReleaseAt() sim.Cycle {
+	if c.phase != seqIdle {
+		return sim.Never
+	}
+	return c.doneAt + 1
 }
 
 // LastRead returns the data produced by the most recent completed read.
@@ -576,8 +602,15 @@ func (c *Cache) startMissOps() {
 }
 
 func (c *Cache) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
-	c.reqValid = true
 	c.req = mbus.Request{Op: op, Addr: addr.Line(), Data: data}
+	c.setReq(true)
+}
+
+// setReq raises or withdraws the pending bus request, publishing it on
+// the request line.
+func (c *Cache) setReq(on bool) {
+	c.reqValid = on
+	c.line.Set(on)
 }
 
 // raiseFillWord requests the next word of the line being filled.
@@ -590,20 +623,32 @@ func (c *Cache) raiseFillWord() {
 func (c *Cache) raiseVictimWord() {
 	idx := c.accIdx
 	addr := c.victimBase + mbus.Addr(c.xferWord*4)
-	c.reqValid = true
 	c.req = mbus.Request{
 		Op:     mbus.MWrite,
 		Addr:   addr.Line(),
 		Data:   c.data[idx*c.lineWords+c.xferWord],
 		Victim: true,
 	}
+	c.setReq(true)
 }
 
-// Step processes deferred work; the machine calls it once per cycle before
-// stepping the bus.
+// Step processes deferred work; the machine calls it once per cycle,
+// after stepping the bus.
 func (c *Cache) Step() {
-	if c.deferred && !c.snoopLive {
-		c.begin()
+	if c.deferred {
+		c.stepDeferred()
+	}
+}
+
+// stepDeferred starts the deferred access once the snoop holding its set
+// has committed. An access that turns out to hit releases the processor
+// at once.
+func (c *Cache) stepDeferred() {
+	if c.snoopLive {
+		return
+	}
+	if c.begin() && c.onDone != nil {
+		c.onDone(c.clock.Now())
 	}
 }
 
@@ -650,7 +695,7 @@ func (c *Cache) busFault(res mbus.Result) {
 		backoff := c.faults.BackoffCycles << (c.retries - 1)
 		c.retryAt = c.clock.Now() + sim.Cycle(backoff)
 		// The request is still latched in c.req; re-raise it.
-		c.reqValid = true
+		c.setReq(true)
 		if c.tracer != nil {
 			c.emit(obs.KindFaultRetry, c.req.Addr, uint64(c.retries), backoff)
 		}
@@ -669,7 +714,7 @@ func (c *Cache) busFault(res mbus.Result) {
 	if c.tracer != nil {
 		c.emit(obs.KindMachineCheck, c.req.Addr, 1, uint64(res.Fault))
 	}
-	c.reqValid = false
+	c.setReq(false)
 	c.finish()
 }
 
@@ -678,20 +723,20 @@ func (c *Cache) BusRequest() (mbus.Request, bool) {
 	if !c.reqValid {
 		return mbus.Request{}, false
 	}
-	if c.retryAt != 0 {
+	if c.clock.Now() < c.retryAt {
 		// Backing off after a faulted operation. The request stays raised
 		// (so the machine's idle skip-ahead sees pending work) but does
 		// not arbitrate until the backoff expires.
-		if c.clock.Now() < c.retryAt {
-			return mbus.Request{}, false
-		}
-		c.retryAt = 0
+		return mbus.Request{}, false
 	}
 	return c.req, true
 }
 
+// SetRequestLine implements mbus.Initiator.
+func (c *Cache) SetRequestLine(l mbus.RequestLine) { c.line = l }
+
 // BusGrant implements mbus.Initiator.
-func (c *Cache) BusGrant() { c.reqValid = false }
+func (c *Cache) BusGrant() { c.setReq(false) }
 
 // BusComplete implements mbus.Initiator.
 func (c *Cache) BusComplete(res mbus.Result) {
@@ -831,10 +876,13 @@ func (c *Cache) BusComplete(res mbus.Result) {
 }
 
 // finish returns the sequencer to idle, latching the completion cycle so
-// Busy stays true through it.
+// Busy stays true through it, and wakes the processor for the cycle after.
 func (c *Cache) finish() {
 	c.phase = seqIdle
 	c.doneAt = c.clock.Now()
+	if c.onDone != nil {
+		c.onDone(c.doneAt + 1)
+	}
 }
 
 // SnoopProbe implements mbus.Snooper.
@@ -948,7 +996,7 @@ func (c *Cache) SnoopCommit(op mbus.OpKind, addr mbus.Addr, data uint32, shared 
 		// cannot be in flight here: a snoop only arrives during another
 		// agent's operation, so the pending request is merely waiting for
 		// grant and is safe to cancel.)
-		c.reqValid = false
+		c.setReq(false)
 		c.setState(idx, Invalid)
 		c.startMissOps()
 	}

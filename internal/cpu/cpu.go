@@ -13,10 +13,19 @@
 // operation (the model's N ticks plus queueing), and a tag-store probe by
 // another cache's bus operation in the same tick costs one extra tick (the
 // SP term).
+//
+// Only three kinds of tick change anything outside the processor: the
+// instruction boundary (the scheduler hook and the next instruction's
+// draw), each reference, and the first tick after a stall ends. The ticks
+// between them count down a compute chunk or wait on the cache. The
+// processor therefore owns its time exactly: NextEvent names the next
+// acting tick, and the ticks before it are credited in bulk when the
+// processor next acts (or when its counters are read).
 package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"firefly/internal/core"
 	"firefly/internal/sim"
@@ -139,8 +148,9 @@ type step struct {
 	compute int
 }
 
-// Processor is one Firefly CPU. The machine steps it once per bus cycle;
-// it acts on its tick boundaries.
+// Processor is one Firefly CPU. It acts on its tick boundaries: on every
+// one when stepped each bus cycle, or only on its wakes (NextEvent) with
+// the ticks between credited in bulk.
 type Processor struct {
 	id    int
 	clock *sim.Clock
@@ -155,9 +165,19 @@ type Processor struct {
 	// tickMask is TickCycles-1 when TickCycles is a power of two (both
 	// hardware variants: 1 and 2), letting the per-cycle tick-boundary
 	// test be a mask instead of a 64-bit modulo; -1 disables the fast
-	// path.
-	tickMask int64
-	rng      *sim.Rand
+	// path. tickShift is then log2(TickCycles).
+	tickMask  int64
+	tickShift uint
+	rng       *sim.Rand
+
+	// last is the cycle through which the processor's ticks are
+	// accounted, and wake the next tick at which it acts (sim.Never while
+	// halted, or while stalled on an access still in progress: the
+	// cache's completion hook sets it then). Every tick strictly between
+	// the two is an elided no-op — a compute countdown tick or a stall
+	// tick — that settle credits in bulk.
+	last sim.Cycle
+	wake sim.Cycle
 
 	tpiCarry     float64
 	queue        []step
@@ -167,7 +187,6 @@ type Processor struct {
 	halted       bool
 
 	instrHook func(p *Processor)
-	haltHook  func(halted bool)
 
 	pendingInts []int
 
@@ -192,8 +211,12 @@ func New(id int, clock *sim.Clock, v Variant, cache *core.Cache, src trace.Sourc
 	}
 	if v.TickCycles&(v.TickCycles-1) == 0 {
 		p.tickMask = int64(v.TickCycles - 1)
+		p.tickShift = uint(bits.TrailingZeros(uint(v.TickCycles)))
 	}
 	p.SetSource(src)
+	p.last = clock.Now()
+	p.schedule()
+	cache.SetCompletionHook(p.cacheDone)
 	return p
 }
 
@@ -206,11 +229,27 @@ func (p *Processor) Variant() Variant { return p.v }
 // Cache returns the processor's board cache.
 func (p *Processor) Cache() *core.Cache { return p.cache }
 
-// Stats returns a snapshot of the processor counters.
-func (p *Processor) Stats() Stats { return p.stats }
+// Stats returns a snapshot of the processor counters, including the
+// elided ticks not yet credited, so it is exact between machine cycles.
+func (p *Processor) Stats() Stats {
+	s := p.stats
+	if k := p.elided(p.clock.Now()); k > 0 {
+		s.Ticks += k
+		if p.waiting {
+			s.StallTicks += k
+		} else if st := p.queue[p.qhead]; k == uint64(st.compute) && p.qhead+1 == len(p.queue) {
+			s.Instructions++
+		}
+	}
+	return s
+}
 
-// ResetStats clears the counters.
-func (p *Processor) ResetStats() { p.stats = Stats{} }
+// ResetStats clears the counters. The ticks elided so far are credited
+// first, so none of them leaks into the new measurement window.
+func (p *Processor) ResetStats() {
+	p.settle(p.clock.Now())
+	p.stats = Stats{}
+}
 
 // SetSource changes the reference source (a context switch at the Topaz
 // layer). Takes effect at the next reference.
@@ -228,46 +267,141 @@ func (p *Processor) Source() trace.Source { return p.src }
 func (p *Processor) SetInstrHook(fn func(*Processor)) { p.instrHook = fn }
 
 // Halt stops the processor; Resume restarts it. A halted processor
-// consumes no ticks.
+// consumes no ticks. Both take effect between machine cycles (or, for
+// Halt, from the processor's own instruction hook): the ticks elided up
+// to the current cycle are credited at Halt, and Resume owes none of the
+// halted ones.
 func (p *Processor) Halt() {
 	if !p.halted {
+		p.settle(p.clock.Now())
 		p.halted = true
-		if p.haltHook != nil {
-			p.haltHook(true)
-		}
+		p.wake = sim.Never
 	}
 }
 
 func (p *Processor) Resume() {
 	if p.halted {
 		p.halted = false
-		if p.haltHook != nil {
-			p.haltHook(false)
-		}
+		p.last = p.clock.Now()
+		p.schedule()
 	}
 }
 
 // Halted reports whether the processor is halted.
 func (p *Processor) Halted() bool { return p.halted }
 
-// SetHaltHook installs a callback invoked whenever the processor's halted
-// state changes (true on Halt, false on Resume). The machine uses it to
-// keep an O(1) running-processor count for the big-step run loop, so the
-// hot path never walks the processor list.
-func (p *Processor) SetHaltHook(fn func(halted bool)) { p.haltHook = fn }
+// NextEvent reports the next cycle at which the processor acts: the end
+// of the current compute chunk (the tick that starts the next reference
+// or instruction), the next tick while a reference or instruction
+// boundary is due, the first tick after the cache releases a stalled
+// access, or sim.Never while halted or while the stalling access is still
+// in progress (the cache's completion hook then sets the wake). Stepping
+// the processor on any cycle before it is an observable no-op, and the
+// ticks it skips are credited in bulk, so the answer is exact.
+func (p *Processor) NextEvent(sim.Cycle) sim.Cycle { return p.wake }
 
-// NextEvent reports the earliest future cycle at which the processor may
-// change state: the next tick boundary, or sim.Never while halted. Like
-// every NextEvent in the simulator it is a pure function of component
-// state and may under-shoot (report an earlier cycle than the real event)
-// but never over-shoot: stepping the processor on any cycle strictly
-// before the returned one is an observable no-op.
-func (p *Processor) NextEvent(now sim.Cycle) sim.Cycle {
-	if p.halted {
-		return sim.Never
+// Due reports whether the processor acts at cycle now. The machine's run
+// loop steps only due processors.
+func (p *Processor) Due(now sim.Cycle) bool { return p.wake <= now }
+
+// ticksThrough returns the number of tick boundaries in (0, c].
+func (p *Processor) ticksThrough(c sim.Cycle) sim.Cycle {
+	if p.tickMask >= 0 {
+		return c >> p.tickShift
 	}
-	tc := sim.Cycle(p.v.TickCycles)
-	return (now/tc + 1) * tc
+	return c / sim.Cycle(p.v.TickCycles)
+}
+
+// tickAfter returns the k-th tick boundary after cycle c.
+func (p *Processor) tickAfter(c sim.Cycle, k int) sim.Cycle {
+	return (p.ticksThrough(c) + sim.Cycle(k)) * sim.Cycle(p.v.TickCycles)
+}
+
+// schedule sets wake from the processor's state after it has acted (or
+// resumed) at cycle last.
+func (p *Processor) schedule() {
+	switch {
+	case p.halted:
+		p.wake = sim.Never
+	case p.waiting:
+		p.wakeFrom(p.cache.ReleaseAt())
+	case p.qhead < len(p.queue) && p.queue[p.qhead].kind == stepCompute:
+		// The chunk's remaining ticks are elided; the tick after them
+		// starts the next step.
+		p.wake = p.tickAfter(p.last, p.queue[p.qhead].compute+1)
+	default:
+		p.wake = p.tickAfter(p.last, 1)
+	}
+}
+
+// cacheDone is the cache's completion hook: the access the processor is
+// stalled on stops holding it at cycle at, so it wakes on the first tick
+// from then.
+func (p *Processor) cacheDone(at sim.Cycle) {
+	if p.waiting && !p.halted {
+		p.wakeFrom(at)
+	}
+}
+
+// wakeFrom sets the wake to the first tick after last that is no earlier
+// than cycle at (sim.Never stays Never).
+func (p *Processor) wakeFrom(at sim.Cycle) {
+	if at == sim.Never {
+		p.wake = sim.Never
+		return
+	}
+	if at <= p.last {
+		at = p.last + 1
+	}
+	p.wake = p.tickAfter(at-1, 1)
+}
+
+// elided returns the number of ticks in (last, through] that the
+// processor does not act on: all of them up to the tick before wake.
+// Zero while halted.
+func (p *Processor) elided(through sim.Cycle) uint64 {
+	if p.halted {
+		return 0
+	}
+	if through >= p.wake {
+		through = p.wake - 1
+	}
+	if through <= p.last {
+		return 0
+	}
+	return uint64(p.ticksThrough(through) - p.ticksThrough(p.last))
+}
+
+// settle credits the elided ticks through the given cycle.
+func (p *Processor) settle(through sim.Cycle) {
+	if k := p.elided(through); k > 0 {
+		p.credit(k)
+	}
+	if through > p.last {
+		p.last = through
+	}
+}
+
+// credit applies k elided ticks: stall ticks while waiting, otherwise
+// compute countdown ticks of the head step (the tick that empties the
+// chunk also retires a finished instruction).
+func (p *Processor) credit(k uint64) {
+	p.stats.Ticks += k
+	if p.waiting {
+		p.stats.StallTicks += k
+		return
+	}
+	st := &p.queue[p.qhead]
+	if st.kind != stepCompute || uint64(st.compute) < k {
+		panic(fmt.Sprintf("cpu%d: %d elided ticks past the end of a compute chunk", p.id, k))
+	}
+	st.compute -= int(k)
+	if st.compute == 0 {
+		p.qhead++
+		if p.qhead == len(p.queue) {
+			p.retire()
+		}
+	}
 }
 
 // Interrupt implements mbus.InterruptSink.
@@ -283,9 +417,11 @@ func (p *Processor) TakeInterrupts() []int {
 	return ints
 }
 
-// Step advances the processor by one bus cycle. It acts only on its tick
-// boundaries; the machine must call Step exactly once per cycle, after the
-// bus has been stepped.
+// Step advances the processor by one bus cycle. It runs every tick
+// boundary, including the ones NextEvent would let it skip: Machine.Step
+// calls it on every cycle as the cycle-by-cycle reference, after the bus,
+// caches and devices; Machine.Run calls it only on the cycles the
+// processor is due.
 func (p *Processor) Step() {
 	if p.halted {
 		return
@@ -300,9 +436,22 @@ func (p *Processor) Step() {
 	p.tick()
 }
 
+// tick runs one processor tick at the current cycle: credit the ticks
+// elided since the processor last acted, act, and schedule the next wake.
 func (p *Processor) tick() {
+	now := p.clock.Now()
+	// now is a tick boundary after last and no later than wake, so every
+	// tick strictly between the two was elided.
+	if k := uint64(p.ticksThrough(now)-p.ticksThrough(p.last)) - 1; k > 0 {
+		p.credit(k)
+	}
+	p.last = now
 	p.stats.Ticks++
+	p.act()
+	p.schedule()
+}
 
+func (p *Processor) act() {
 	if p.waiting {
 		if p.cache.Busy() {
 			p.stats.StallTicks++

@@ -164,6 +164,7 @@ type MDC struct {
 
 	reqValid bool
 	req      mbus.Request
+	line     mbus.RequestLine // publishes reqValid on the bus
 	inFlight bool
 	lastRead uint32
 
@@ -411,7 +412,11 @@ func (m *MDC) stepDeposit() {
 func (m *MDC) raise(op mbus.OpKind, addr mbus.Addr, data uint32) {
 	m.req = mbus.Request{Op: op, Addr: addr, Data: data}
 	m.reqValid = true
+	m.line.Set(true)
 }
+
+// SetRequestLine implements mbus.Initiator.
+func (m *MDC) SetRequestLine(l mbus.RequestLine) { m.line = l }
 
 // BusRequest implements mbus.Initiator.
 func (m *MDC) BusRequest() (mbus.Request, bool) { return m.req, m.reqValid }
@@ -419,6 +424,7 @@ func (m *MDC) BusRequest() (mbus.Request, bool) { return m.req, m.reqValid }
 // BusGrant implements mbus.Initiator.
 func (m *MDC) BusGrant() {
 	m.reqValid = false
+	m.line.Set(false)
 	m.inFlight = true
 }
 

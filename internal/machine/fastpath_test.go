@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"firefly/internal/mbus"
+	"firefly/internal/qbus"
+	"firefly/internal/sim"
 	"firefly/internal/trace"
 )
 
@@ -69,11 +71,21 @@ func TestIdleSkipEquivalence(t *testing.T) {
 
 // TestIdleSkipAdvancesClock checks the skip actually fires: a machine
 // with every processor halted must cover a long Run in a bulk jump with
-// the bus cycle counter kept in step with the clock.
+// the bus cycle counter kept in step with the clock. An idle QBus DMA
+// engine and DEQNA are attached: initiators other than the caches must
+// not count as pending when their request lines are clear.
 func TestIdleSkipAdvancesClock(t *testing.T) {
 	m := New(MicroVAXConfig(2))
 	m.AttachSyntheticLoad(trace.SyntheticLoad{MissRate: 0.2})
+	maps := &qbus.MapRegisters{}
+	maps.MapRange(0, 0x40000, 1<<15)
+	eng := qbus.NewEngine(m.Clock(), m.Bus(), maps, 0)
+	m.AddDevice(eng)
+	m.AddDevice(qbus.NewEthernet(m.Clock(), m.Bus(), eng, qbus.EthernetConfig{}))
 	haltAll(m)
+	if ne := m.NextEvent(m.Clock().Now()); ne != sim.Never {
+		t.Fatalf("halted machine with idle DMA reports its next event at %d, want sim.Never (one jump)", ne)
+	}
 	const n = 100_000_000 // far too many cycles to tour component-by-component in test time
 	m.Run(n)
 	if got := uint64(m.Clock().Now()); got != n {
@@ -115,6 +127,12 @@ func TestStepZeroAllocsAnyArbiter(t *testing.T) {
 			avg := testing.AllocsPerRun(2000, func() { m.Step() })
 			if avg != 0 {
 				t.Fatalf("machine.Step with %s arbiter allocates %.2f times per cycle, want 0", name, avg)
+			}
+			// The event loop: wakes, bulk tick credit, the completion
+			// hook and the request word must not allocate either.
+			avg = testing.AllocsPerRun(200, func() { m.Run(500) })
+			if avg != 0 {
+				t.Fatalf("loaded machine.Run with %s arbiter allocates %.2f times per Run(500), want 0", name, avg)
 			}
 		})
 	}

@@ -165,11 +165,6 @@ type Machine struct {
 	tracer  *obs.Tracer
 	reg     *stats.Registry
 	plan    *fault.Plan
-
-	// running counts non-halted processors, maintained by halt hooks, so
-	// Run's hot path gates the event scan on one integer compare instead
-	// of touring every component per cycle.
-	running int
 }
 
 // New builds a machine. Reference sources start nil; attach them with
@@ -192,16 +187,6 @@ func New(cfg Config) *Machine {
 		}
 		m.caches = append(m.caches, cache)
 		m.cpus = append(m.cpus, p)
-	}
-	m.running = len(m.cpus)
-	for _, p := range m.cpus {
-		p.SetHaltHook(func(halted bool) {
-			if halted {
-				m.running--
-			} else {
-				m.running++
-			}
-		})
 	}
 	if cfg.Faults != nil {
 		fcfg := *cfg.Faults
@@ -408,7 +393,8 @@ func (m *Machine) AttachSyntheticLoad(load trace.SyntheticLoad) {
 // Step advances the machine one bus cycle: bus, then caches (deferred
 // work), then devices, then processors. Processor requests raised in this
 // cycle reach arbitration on the next, matching the hardware's
-// request/grant timing.
+// request/grant timing. Step runs every processor on every cycle: it is
+// the cycle-by-cycle reference that Run must reproduce exactly.
 func (m *Machine) Step() {
 	m.clock.Tick()
 	m.bus.Step()
@@ -423,64 +409,62 @@ func (m *Machine) Step() {
 	}
 }
 
-// Run advances the machine by n cycles. While any processor is running
-// or a bus operation is in flight the machine steps cycle-by-cycle; the
-// hot path costs one integer compare and one bus flag load before the
-// Step. Once every processor has halted and the bus has drained, Run
-// asks each remaining time-owner (caches, devices, the bus, the fault
-// plan) for its NextEvent and jumps the clock to just before the
-// earliest one in a single bulk advance — cycle-exact and
-// byte-identical to stepping, because the elided cycles are provably
-// no-ops apart from the per-cycle accounting devices apply in bulk
-// through SkipCycles. This is the fast path for DMA drains, seek waits,
-// scripted rigs, and halted-CPU measurement harnesses.
+// Run advances the machine by n cycles, byte-identical to calling Step n
+// times. It is one event loop: jump the clock to one cycle before the
+// machine's NextEvent in a single SkipCycles advance, then step that
+// cycle, running only the processors due in it. Every time owner is
+// exact or conservative (DESIGN.md, "The NextEvent contract"), so the
+// elided cycles and processor ticks are provably no-ops apart from the
+// accounting that bulk advances apply: the bus and device counters in
+// SkipCycles, the processors' tick credit when they next act.
 func (m *Machine) Run(n uint64) {
 	end := m.clock.Now() + sim.Cycle(n)
-	for {
-		now := m.clock.Now()
-		if now >= end {
-			return
+	for now := m.clock.Now(); now < end; now = m.clock.Now() {
+		// An operation in flight steps the next cycle anyway; only an
+		// idle bus is worth the scan.
+		if !m.bus.Busy() {
+			ne := m.NextEvent(now)
+			if ne > end {
+				m.SkipCycles(uint64(end - now))
+				return
+			}
+			if ne > now+1 {
+				m.SkipCycles(uint64(ne - 1 - now))
+			}
 		}
-		if m.running > 0 || m.bus.Busy() {
-			m.Step()
-			continue
+		m.stepDue()
+	}
+}
+
+// stepDue is Step for Run: the same cycle in the same order, with the
+// processors that are not due left to their bulk credit.
+func (m *Machine) stepDue() {
+	now := m.clock.Tick()
+	m.bus.Step()
+	for _, c := range m.caches {
+		c.Step()
+	}
+	for _, d := range m.devices {
+		d.Step()
+	}
+	for _, p := range m.cpus {
+		if p.Due(now) {
+			p.Step()
 		}
-		ne := m.nextEvent(now)
-		if ne <= now+1 {
-			m.Step()
-			continue
-		}
-		// Skip to one cycle before the event (or the end of the run) and
-		// let the next iteration step through the event normally.
-		target := ne - 1
-		if target > end {
-			target = end
-		}
-		m.SkipCycles(uint64(target - now))
 	}
 }
 
 // NextEvent reports the earliest future cycle at which stepping the
 // machine may change observable state, with sim.Never meaning the
-// machine is fully quiescent until new outside work arrives. A machine
-// with a running processor or an active bus operation conservatively
-// reports the next cycle; otherwise every time-owning component is
-// polled. The cluster uses it to big-step several machines and the
-// Ethernet segment together.
+// machine is fully quiescent until new outside work arrives: the minimum
+// over the bus, processors, caches, devices and fault plan. An active
+// bus answers the next cycle without scanning the rest. The cluster uses
+// it to big-step several machines and the Ethernet segment together.
 func (m *Machine) NextEvent(now sim.Cycle) sim.Cycle {
-	if m.running > 0 || m.bus.Busy() {
-		return now + 1
-	}
-	return m.nextEvent(now)
-}
-
-// nextEvent scans every time-owning component for its earliest future
-// event. Only called with all processors halted and the bus inactive;
-// the bus is still polled because backed-off requesters are invisible
-// to it (their own NextEvent reports the retry expiry) while queued
-// requesters make it report the next cycle.
-func (m *Machine) nextEvent(now sim.Cycle) sim.Cycle {
 	ev := m.bus.NextEvent(now)
+	if ev <= now+1 {
+		return ev
+	}
 	for _, p := range m.cpus {
 		ev = sim.EarliestEvent(ev, p.NextEvent(now))
 	}

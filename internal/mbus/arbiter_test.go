@@ -14,6 +14,10 @@ type greedyInitiator struct {
 	grants int
 }
 
+// SetRequestLine asserts the line for good: the greedy agent always
+// requests.
+func (g *greedyInitiator) SetRequestLine(l RequestLine) { l.Set(true) }
+
 func (g *greedyInitiator) BusRequest() (Request, bool) {
 	return Request{Op: MRead, Addr: g.addr}, true
 }

@@ -22,6 +22,7 @@ package mbus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"firefly/internal/obs"
 	"firefly/internal/sim"
@@ -157,9 +158,17 @@ type Result struct {
 // Initiator is an agent that can request bus operations (a cache, or the
 // DMA path of the I/O system).
 type Initiator interface {
+	// SetRequestLine hands the agent its request line when it is attached.
+	// The agent keeps the line set exactly while it has a request raised
+	// (including one waiting out a retry backoff): it sets the line when
+	// it raises a request and clears it on grant or withdrawal. The bus
+	// reads the published request word instead of polling every port.
+	SetRequestLine(RequestLine)
 	// BusRequest reports the operation the agent wants, if any. It is
-	// polled during arbitration cycles; the agent must keep returning the
-	// same request until granted.
+	// called only for ports whose request line is set, during arbitration
+	// cycles and by NextEvent; it must be side-effect-free, and the agent
+	// must keep returning the same request until granted. A set line whose
+	// BusRequest reports false is a request still backing off.
 	BusRequest() (Request, bool)
 	// BusGrant tells the agent its request has won arbitration.
 	BusGrant()
@@ -255,6 +264,32 @@ type port struct {
 	sink      InterruptSink
 }
 
+// portVerdict is one snooper's verdict on the operation in flight.
+type portVerdict struct {
+	port int
+	SnoopVerdict
+}
+
+// RequestLine is one initiator's bit in its bus's published request word:
+// the wire it asserts to ask for arbitration. The zero RequestLine (an
+// agent not attached to any bus) ignores Set.
+type RequestLine struct {
+	word *uint64
+	bit  uint64
+}
+
+// Set asserts (on) or releases the request line.
+func (l RequestLine) Set(on bool) {
+	if l.word == nil {
+		return
+	}
+	if on {
+		*l.word |= l.bit
+	} else {
+		*l.word &^= l.bit
+	}
+}
+
 // Stats aggregates bus activity for load and traffic reporting.
 type Stats struct {
 	Ops        [numOpKinds]uint64 // completed operations by kind
@@ -311,22 +346,29 @@ type Bus struct {
 	inj      FaultInjector
 
 	// in-flight operation
-	active   bool
-	phase    int // 1..4
-	op       OpKind
-	addr     Addr
-	data     uint32
-	victim   bool
-	portNum  int
-	verdicts []SnoopVerdict
-	shared   bool
+	active  bool
+	phase   int // 1..4
+	op      OpKind
+	addr    Addr
+	data    uint32
+	victim  bool
+	portNum int
+	// snooped holds the verdicts of the in-flight operation that matter
+	// (a holder, a supplier or a flush), in port order.
+	snooped []portVerdict
+	shared  bool
 	// fault of the in-flight operation (FaultNone normally); holdLeft is
 	// the remaining watchdog cycles of a timed-out operation.
 	fault    FaultKind
 	holdLeft uint64
 
+	// reqWords is the published request word, 64 ports per word: bit i
+	// of *reqWords[i/64] is port i's request line. Each word is its own
+	// allocation so the lines handed out stay valid as ports attach.
+	reqWords  []*uint64
 	lastGrant int    // most recently granted port (-1 before any grant)
-	reqs      []bool // reused request buffer for arbitration
+	ready     []int  // reused buffer: the ports requesting this arbitration
+	reqs      []bool // reused request vector for interface arbiters
 
 	stats Stats
 
@@ -369,10 +411,17 @@ func (b *Bus) SetFaultInjector(inj FaultInjector) { b.inj = inj }
 // for agents that lack it (memory-side DMA engines do not snoop, pure
 // snoopers never initiate).
 func (b *Bus) Attach(in Initiator, sn Snooper, sink InterruptSink) int {
+	i := len(b.ports)
 	b.ports = append(b.ports, port{initiator: in, snooper: sn, sink: sink})
 	b.stats.PerPort = append(b.stats.PerPort, 0)
 	b.stats.WaitPerPort = append(b.stats.WaitPerPort, 0)
-	return len(b.ports) - 1
+	if i%64 == 0 {
+		b.reqWords = append(b.reqWords, new(uint64))
+	}
+	if in != nil {
+		in.SetRequestLine(RequestLine{word: b.reqWords[i/64], bit: 1 << uint(i%64)})
+	}
+	return i
 }
 
 // Stats returns a snapshot of the accumulated bus statistics.
@@ -422,9 +471,9 @@ func (b *Bus) InFlight() (op OpKind, addr Addr, active bool) {
 // NextEvent reports the earliest future cycle at which stepping the bus
 // may change observable state: the next cycle while an operation is in
 // flight or any attached initiator is requesting service, sim.Never
-// otherwise. BusRequest polling is side-effect-free by contract (agents
-// must keep returning the same request until granted), so the probe does
-// not perturb arbitration. Initiators whose raised request is
+// otherwise. It reads the published request word and asks only the ports
+// whose line is set; BusRequest is side-effect-free by contract, so the
+// probe does not perturb arbitration. Initiators whose raised request is
 // temporarily invisible (retry backoff) report their own wake-up cycle
 // through their own NextEvent — the bus cannot see them and does not try
 // to.
@@ -432,13 +481,12 @@ func (b *Bus) NextEvent(now sim.Cycle) sim.Cycle {
 	if b.active {
 		return now + 1
 	}
-	for i := range b.ports {
-		in := b.ports[i].initiator
-		if in == nil {
-			continue
-		}
-		if _, ok := in.BusRequest(); ok {
-			return now + 1
+	for w, wp := range b.reqWords {
+		for set := *wp; set != 0; set &= set - 1 {
+			i := w<<6 | bits.TrailingZeros64(set)
+			if _, ok := b.ports[i].initiator.BusRequest(); ok {
+				return now + 1
+			}
 		}
 	}
 	return sim.Never
@@ -471,8 +519,9 @@ func (b *Bus) Interrupt(from, target int) {
 }
 
 // Step advances the bus by one cycle. The machine's run loop must call
-// Step exactly once per clock tick, after stepping the processors so that
-// requests raised this cycle are visible to arbitration.
+// Step exactly once per clock tick, before the caches, devices and
+// processors: requests they raise in a cycle reach arbitration on the
+// next one.
 func (b *Bus) Step() {
 	b.stats.Cycles++
 	if !b.active {
@@ -517,46 +566,48 @@ func (b *Bus) Step() {
 }
 
 func (b *Bus) arbitrate() {
-	n := len(b.ports)
-	if n == 0 {
-		return
-	}
-	// Gather the request lines into the reused buffer. BusRequest is
-	// side-effect-free by contract (agents keep returning the same
-	// request until granted), so polling here and re-reading the winner
-	// below observes one consistent request per port.
-	if cap(b.reqs) < n {
-		b.reqs = make([]bool, n)
-	}
-	b.reqs = b.reqs[:n]
-	nreq, first := 0, -1
-	for i := 0; i < n; i++ {
-		ok := false
-		if in := b.ports[i].initiator; in != nil {
-			_, ok = in.BusRequest()
-		}
-		b.reqs[i] = ok
-		if ok {
-			nreq++
-			if first < 0 {
-				first = i
+	// Gather the requesting ports from the published request word. A set
+	// line whose BusRequest reports false is backing off and sits this
+	// arbitration out. BusRequest is side-effect-free by contract, so
+	// re-reading the winner's request below observes the same request.
+	ready := b.ready[:0]
+	for w, wp := range b.reqWords {
+		for set := *wp; set != 0; set &= set - 1 {
+			i := w<<6 | bits.TrailingZeros64(set)
+			if _, ok := b.ports[i].initiator.BusRequest(); ok {
+				ready = append(ready, i)
 			}
 		}
 	}
+	b.ready = ready
+	nreq := len(ready)
 	if nreq == 0 {
 		return
 	}
-	granted := first
+	// Fixed priority grants the lowest requesting port: ready is in port
+	// order.
+	granted := ready[0]
 	if !b.arbFixed {
-		granted = b.arb.Grant(b.reqs, b.lastGrant)
-		if granted < 0 || granted >= n || !b.reqs[granted] {
+		n := len(b.ports)
+		if len(b.reqs) < n {
+			b.reqs = make([]bool, n)
+		}
+		for _, i := range ready {
+			b.reqs[i] = true
+		}
+		granted = b.arb.Grant(b.reqs[:n], b.lastGrant)
+		ok := granted >= 0 && granted < n && b.reqs[granted]
+		for _, i := range ready {
+			b.reqs[i] = false
+		}
+		if !ok {
 			panic(fmt.Sprintf("mbus: arbiter %q granted port %d, which is not requesting", b.arb.Name(), granted))
 		}
 	}
 	if nreq > 1 {
 		var mask uint64
-		for i, r := range b.reqs {
-			if !r || i == granted {
+		for _, i := range ready {
+			if i == granted {
 				continue
 			}
 			b.stats.WaitCycles++
@@ -595,13 +646,7 @@ func (b *Bus) begin(port int, req Request) {
 	if b.inj != nil {
 		b.fault, b.holdLeft = b.inj.OpFault(b.op, b.addr)
 	}
-	if cap(b.verdicts) < len(b.ports) {
-		b.verdicts = make([]SnoopVerdict, len(b.ports))
-	}
-	b.verdicts = b.verdicts[:len(b.ports)]
-	for i := range b.verdicts {
-		b.verdicts[i] = SnoopVerdict{}
-	}
+	b.snooped = b.snooped[:0]
 	if b.tracer != nil {
 		b.tracer.Emit(obs.Event{
 			Cycle: uint64(b.clock.Now()),
@@ -628,13 +673,16 @@ func (b *Bus) probeAll() {
 		if sn == nil {
 			continue
 		}
-		b.verdicts[i] = sn.SnoopProbe(b.op, b.addr, data)
+		v := sn.SnoopProbe(b.op, b.addr, data)
+		if v.HasLine || v.Supply || len(v.Flush) > 0 {
+			b.snooped = append(b.snooped, portVerdict{port: i, SnoopVerdict: v})
+		}
 	}
 }
 
 func (b *Bus) resolveShared() {
-	for i := range b.verdicts {
-		if i != b.portNum && b.verdicts[i].HasLine {
+	for i := range b.snooped {
+		if b.snooped[i].HasLine {
 			b.shared = true
 			break
 		}
@@ -656,15 +704,10 @@ func (b *Bus) resolveShared() {
 	if b.op.CarriesData() {
 		data = b.data
 	}
-	for i := range b.ports {
-		if i == b.portNum {
-			continue
+	for i := range b.snooped {
+		if v := &b.snooped[i]; v.HasLine {
+			b.ports[v.port].snooper.SnoopCommit(b.op, b.addr, data, b.shared)
 		}
-		sn := b.ports[i].snooper
-		if sn == nil || !b.verdicts[i].HasLine {
-			continue
-		}
-		sn.SnoopCommit(b.op, b.addr, data, b.shared)
 	}
 	if b.tracer != nil && b.op.CarriesData() {
 		// Cycle 3 is the serialization point of a data-carrying operation:
@@ -697,11 +740,8 @@ func (b *Bus) complete() {
 	// Snoop-side flushes land before the operation's own memory effect so
 	// the operation's data (the newest value) wins on overlap.
 	if b.mem != nil {
-		for i, v := range b.verdicts {
-			if i == b.portNum {
-				continue
-			}
-			for _, f := range v.Flush {
+		for i := range b.snooped {
+			for _, f := range b.snooped[i].Flush {
 				b.mem.WriteWord(f.Addr, f.Data)
 			}
 		}
@@ -710,8 +750,9 @@ func (b *Bus) complete() {
 		supplied := false
 		reflect := false
 		var word uint32
-		for i, v := range b.verdicts {
-			if i == b.portNum || !v.Supply {
+		for i := range b.snooped {
+			v := &b.snooped[i]
+			if !v.Supply {
 				continue
 			}
 			if supplied && v.Data != word {

@@ -12,7 +12,10 @@ type testInitiator struct {
 	pending *Request
 	granted int
 	results []Result
+	line    RequestLine
 }
+
+func (ti *testInitiator) SetRequestLine(l RequestLine) { ti.line = l }
 
 func (ti *testInitiator) BusRequest() (Request, bool) {
 	if ti.pending == nil {
@@ -24,12 +27,14 @@ func (ti *testInitiator) BusRequest() (Request, bool) {
 func (ti *testInitiator) BusGrant() {
 	ti.granted++
 	ti.pending = nil
+	ti.line.Set(false)
 }
 
 func (ti *testInitiator) BusComplete(r Result) { ti.results = append(ti.results, r) }
 
 func (ti *testInitiator) issue(op OpKind, addr Addr, data uint32) {
 	ti.pending = &Request{Op: op, Addr: addr, Data: data}
+	ti.line.Set(true)
 }
 
 // testSnooper asserts MShared (and optionally supplies data) for a fixed

@@ -151,6 +151,7 @@ type Engine struct {
 	nextIssue  sim.Cycle
 	reqValid   bool
 	req        mbus.Request
+	line       mbus.RequestLine // publishes reqValid on the bus
 	inFlight   bool
 
 	inj        DMAFaultInjector
@@ -340,7 +341,7 @@ func (e *Engine) Step() {
 		e.req = mbus.Request{Op: mbus.MRead, Addr: phys}
 	}
 	e.emit(obs.KindDMAWord, phys, uint64(e.pos), boolArg(e.cur.ToMemory), e.cur.Device)
-	e.reqValid = true
+	e.setReq(true)
 	// Pace issue-to-issue so a saturated engine sustains one word per
 	// wordCycles regardless of bus latency.
 	e.nextIssue = e.clock.Now() + sim.Cycle(e.wordCycles)
@@ -351,21 +352,28 @@ func (e *Engine) BusRequest() (mbus.Request, bool) {
 	if !e.reqValid {
 		return mbus.Request{}, false
 	}
-	if e.retryAt != 0 {
+	if e.clock.Now() < e.retryAt {
 		// Backing off after a faulted word. The request stays raised so
 		// NextEvent reports the backoff expiry, but arbitration waits out
 		// the backoff window.
-		if e.clock.Now() < e.retryAt {
-			return mbus.Request{}, false
-		}
-		e.retryAt = 0
+		return mbus.Request{}, false
 	}
 	return e.req, true
 }
 
+// setReq raises or withdraws the word's bus request, publishing it on
+// the request line.
+func (e *Engine) setReq(on bool) {
+	e.reqValid = on
+	e.line.Set(on)
+}
+
+// SetRequestLine implements mbus.Initiator.
+func (e *Engine) SetRequestLine(l mbus.RequestLine) { e.line = l }
+
 // BusGrant implements mbus.Initiator.
 func (e *Engine) BusGrant() {
-	e.reqValid = false
+	e.setReq(false)
 	e.inFlight = true
 }
 
@@ -400,7 +408,7 @@ func (e *Engine) busFault() {
 		backoff := e.backoff << (e.retries - 1)
 		e.retryAt = e.clock.Now() + sim.Cycle(backoff)
 		// e.req still holds the faulted word's request; re-raise it.
-		e.reqValid = true
+		e.setReq(true)
 		e.emit(obs.KindFaultRetry, e.req.Addr, uint64(e.retries), backoff, e.cur.Device)
 		return
 	}
